@@ -28,19 +28,19 @@ int main(int argc, char** argv) {
   for (const double df : {1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 24.0}) {
     const double umc = core::umc_closed_form(
         fms.utilization(CritLevel::HI), fms.utilization(CritLevel::LO),
-        n_hi, n_lo, 2, mcs::AdaptationKind::kDegradation, df);
+        n_hi, n_lo, 2, AdaptationKind::kDegradation, df);
     int max_n = -1;
     for (int n = n_hi; n >= 0; --n) {
       if (core::umc_closed_form(fms.utilization(CritLevel::HI),
                                 fms.utilization(CritLevel::LO), n_hi, n_lo,
-                                n, mcs::AdaptationKind::kDegradation,
+                                n, AdaptationKind::kDegradation,
                                 df) <= 1.0) {
         max_n = n;
         break;
       }
     }
     const double budget = core::adaptation_budget(
-        u_lo_lo, u_hi_hi, mcs::AdaptationKind::kDegradation, df);
+        u_lo_lo, u_hi_hi, AdaptationKind::kDegradation, df);
     table.add_row({io::Table::num(df, 3),
                    std::isinf(umc) ? "inf" : io::Table::num(umc, 4),
                    max_n < 0 ? "none" : std::to_string(max_n),

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   // FMS under degradation (the paper's feasible configuration).
   core::AdaptationModel deg;
-  deg.kind = mcs::AdaptationKind::kDegradation;
+  deg.kind = AdaptationKind::kDegradation;
   deg.degradation_factor = fms::kFmsDegradationFactor;
   deg.os_hours = fms::kFmsOperationHours;
   compare("FMS / degradation", fms::canonical_fms_instance(), 3, 2, deg);
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   // FMS under killing (infeasible uniformly; heterogeneous cannot rescue
   // safety but shows the budget utilization).
   core::AdaptationModel kill;
-  kill.kind = mcs::AdaptationKind::kKilling;
+  kill.kind = AdaptationKind::kKilling;
   kill.os_hours = fms::kFmsOperationHours;
   compare("FMS / killing    ", fms::canonical_fms_instance(), 3, 2, kill);
 
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 5; ++i) {
     const auto ts = taskgen::generate_task_set(params, rng);
     core::AdaptationModel m;
-    m.kind = mcs::AdaptationKind::kKilling;
+    m.kind = AdaptationKind::kKilling;
     m.os_hours = 1.0;
     const std::string label = "random set " + std::to_string(i) + "     ";
     compare(label.c_str(), ts, 3, 2, m);

@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
                    "killing safe", "degradation safe"});
   for (const double os : {1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 16.0, 24.0}) {
     core::AdaptationModel kill;
-    kill.kind = mcs::AdaptationKind::kKilling;
+    kill.kind = AdaptationKind::kKilling;
     kill.os_hours = os;
     core::AdaptationModel degrade;
-    degrade.kind = mcs::AdaptationKind::kDegradation;
+    degrade.kind = AdaptationKind::kDegradation;
     degrade.degradation_factor = fms::kFmsDegradationFactor;
     degrade.os_hours = os;
     const double pk =

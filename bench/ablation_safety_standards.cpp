@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         const core::FtTaskSet ts = taskgen::generate_task_set(params, rng);
         core::FtsConfig cfg;
         cfg.requirements = reqs;
-        cfg.adaptation.kind = mcs::AdaptationKind::kDegradation;
+        cfg.adaptation.kind = AdaptationKind::kDegradation;
         cfg.adaptation.degradation_factor = 6.0;
         cfg.adaptation.os_hours = 1.0;
         cfg.prefer_no_adaptation = true;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       for (int i = 0; i < sets; ++i) {
         const core::FtTaskSet ts = taskgen::generate_task_set(params, rng);
         core::FtsConfig cfg;
-        cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+        cfg.adaptation.kind = AdaptationKind::kKilling;
         cfg.adaptation.os_hours = 1.0;
         cfg.test = entry.test;
         cfg.use_closed_form_umc = false;  // exercise S itself

@@ -123,7 +123,7 @@ campaign::CampaignSpec fig3_campaign_spec(const Fig3Config& config,
   campaign::CampaignSpec spec;
   spec.name = std::move(name);
   spec.title = config.title.empty() ? spec.name : config.title;
-  spec.schedulers = {config.kind == mcs::AdaptationKind::kKilling
+  spec.schedulers = {config.kind == AdaptationKind::kKilling
                          ? campaign::Scheduler::kEdfVdKilling
                          : campaign::Scheduler::kEdfVdDegradation};
   spec.mapping = config.mapping;
@@ -167,7 +167,7 @@ void print_fig3(const Fig3Config& config,
   std::cout << "mapping HI=" << to_string(config.mapping.hi)
             << " LO=" << to_string(config.mapping.lo)
             << ", mechanism="
-            << (config.kind == mcs::AdaptationKind::kKilling
+            << (config.kind == AdaptationKind::kKilling
                     ? "task killing"
                     : "service degradation")
             << ", O_S=" << config.os_hours << "h, "

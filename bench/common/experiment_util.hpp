@@ -72,7 +72,7 @@ class BenchReport {
 /// Configuration of one Fig. 3 subfigure (Sec. 5.2 / Appendix C.0.5).
 struct Fig3Config {
   std::string title;
-  mcs::AdaptationKind kind = mcs::AdaptationKind::kKilling;
+  AdaptationKind kind = AdaptationKind::kKilling;
   DualCriticalityMapping mapping{Dal::B, Dal::D};
   double degradation_factor = 6.0;
   /// Universal per-job failure probabilities to sweep (legend of Fig. 3).

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         core::CkptFtsConfig cfg;
         cfg.segments = variant.segments;
         cfg.overhead_fraction = variant.overhead;
-        cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+        cfg.adaptation.kind = AdaptationKind::kKilling;
         cfg.adaptation.os_hours = 1.0;
         if (core::ft_schedule_checkpointed(ts, cfg).success) ++accepted;
       }

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         const core::FtTaskSet ts = taskgen::generate_task_set(params, rng);
         core::PartitionedConfig cfg;
         cfg.cores = cores;
-        cfg.fts.adaptation.kind = mcs::AdaptationKind::kKilling;
+        cfg.fts.adaptation.kind = AdaptationKind::kKilling;
         cfg.fts.adaptation.os_hours = 1.0;
         if (core::ft_schedule_partitioned(ts, cfg).success) ++accepted;
       }
@@ -61,14 +61,14 @@ int main(int argc, char** argv) {
     const core::FtTaskSet ts = taskgen::generate_task_set(params, rng);
     core::PartitionedConfig cfg;
     cfg.cores = 2;
-    cfg.fts.adaptation.kind = mcs::AdaptationKind::kKilling;
+    cfg.fts.adaptation.kind = AdaptationKind::kKilling;
     cfg.fts.adaptation.os_hours = 1.0;
     const auto plan = core::ft_schedule_partitioned(ts, cfg);
     if (!plan.success) continue;
 
     sim::SimConfig sim_cfg;
-    sim_cfg.policy = sim::PolicyKind::kEdfVd;
-    sim_cfg.adaptation = mcs::AdaptationKind::kKilling;
+    sim_cfg.policy = PolicyKind::kEdfVd;
+    sim_cfg.adaptation = AdaptationKind::kKilling;
     sim_cfg.horizon = sim::kTicksPerHour / 4;
     // Each task triggers with the adaptation profile its own core chose.
     core::PerTaskProfile n_adapt(ts.size(), plan.n_hi);

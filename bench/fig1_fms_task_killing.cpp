@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
             << ", n_LO = " << n_lo << "\n\n";
 
   core::AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kKilling;
+  model.kind = AdaptationKind::kKilling;
   model.os_hours = fms::kFmsOperationHours;
   const auto points =
       core::sweep_adaptation(fms, n_hi, n_lo, model, reqs, 4);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
             << ", n_LO = " << n_lo << "\n\n";
 
   core::AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kDegradation;
+  model.kind = AdaptationKind::kDegradation;
   model.degradation_factor = fms::kFmsDegradationFactor;
   model.os_hours = fms::kFmsOperationHours;
   const auto points =

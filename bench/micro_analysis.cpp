@@ -78,7 +78,7 @@ BENCHMARK(BM_EdfVdTest);
 void BM_FtScheduleEndToEnd(benchmark::State& state) {
   const auto ts = fms();
   core::FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  cfg.adaptation.kind = AdaptationKind::kDegradation;
   cfg.adaptation.degradation_factor = fms::kFmsDegradationFactor;
   cfg.adaptation.os_hours = fms::kFmsOperationHours;
   for (auto _ : state) {
@@ -141,10 +141,10 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
   constexpr double kUtilizations[] = {0.3, 0.5, 0.7, 0.9};
 
   core::FtsConfig killing;
-  killing.adaptation.kind = mcs::AdaptationKind::kKilling;
+  killing.adaptation.kind = AdaptationKind::kKilling;
   killing.adaptation.os_hours = 1.0;
   core::FtsConfig degradation;
-  degradation.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  degradation.adaptation.kind = AdaptationKind::kDegradation;
   degradation.adaptation.degradation_factor = 2.0;
   degradation.adaptation.os_hours = 1.0;
   const mcs::McDbfOptions dbf_options;

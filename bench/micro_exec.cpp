@@ -63,8 +63,8 @@ void BM_MonteCarloCampaign(benchmark::State& state) {
   const auto tasks =
       sim::build_sim_tasks(fms::canonical_fms_instance(), 3, 2, 2, 0.5);
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.policy = PolicyKind::kEdfVd;
+  cfg.adaptation = AdaptationKind::kKilling;
 
   sim::MonteCarloOptions opt;
   opt.missions = missions_from_env();
@@ -98,8 +98,8 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
   const auto tasks =
       sim::build_sim_tasks(fms::canonical_fms_instance(), 3, 2, 2, 0.5);
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.policy = PolicyKind::kEdfVd;
+  cfg.adaptation = AdaptationKind::kKilling;
 
   sim::MonteCarloOptions opt;
   // Sized independently of FTMC_BENCH_MISSIONS (which pins the

@@ -19,22 +19,22 @@ namespace {
 
 using namespace ftmc;
 
-std::vector<sim::SimTask> fms_tasks(double vd_factor = 1.0) {
+std::vector<rt::HostTask> fms_tasks(double vd_factor = 1.0) {
   return sim::build_sim_tasks(fms::canonical_fms_instance(), 3, 2, 2,
                               vd_factor);
 }
 
-void run_policy(benchmark::State& state, sim::PolicyKind policy,
+void run_policy(benchmark::State& state, PolicyKind policy,
                 double failure_prob_scale,
                 obs::Registry* registry = nullptr) {
-  auto tasks = fms_tasks(policy == sim::PolicyKind::kEdfVd ? 0.5 : 1.0);
+  auto tasks = fms_tasks(policy == PolicyKind::kEdfVd ? 0.5 : 1.0);
   for (auto& t : tasks) t.failure_prob *= failure_prob_scale;
 
   std::uint64_t jobs = 0;
   for (auto _ : state) {
     sim::SimConfig cfg;
     cfg.policy = policy;
-    cfg.adaptation = mcs::AdaptationKind::kKilling;
+    cfg.adaptation = AdaptationKind::kKilling;
     cfg.horizon = 60 * sim::kTicksPerSecond;  // one simulated minute
     cfg.seed = 7;
     cfg.registry = registry;
@@ -48,12 +48,12 @@ void run_policy(benchmark::State& state, sim::PolicyKind policy,
 }
 
 void BM_SimEdf(benchmark::State& state) {
-  run_policy(state, sim::PolicyKind::kEdf, 1.0);
+  run_policy(state, PolicyKind::kEdf, 1.0);
 }
 BENCHMARK(BM_SimEdf);
 
 void BM_SimEdfVd(benchmark::State& state) {
-  run_policy(state, sim::PolicyKind::kEdfVd, 1.0);
+  run_policy(state, PolicyKind::kEdfVd, 1.0);
 }
 BENCHMARK(BM_SimEdfVd);
 
@@ -61,18 +61,18 @@ void BM_SimEdfVdInstrumented(benchmark::State& state) {
   // Identical workload with a live metrics registry attached: the delta
   // against BM_SimEdfVd is the full metrics cost per simulated minute.
   obs::Registry registry;
-  run_policy(state, sim::PolicyKind::kEdfVd, 1.0, &registry);
+  run_policy(state, PolicyKind::kEdfVd, 1.0, &registry);
 }
 BENCHMARK(BM_SimEdfVdInstrumented);
 
 void BM_SimFixedPriority(benchmark::State& state) {
-  run_policy(state, sim::PolicyKind::kFixedPriority, 1.0);
+  run_policy(state, PolicyKind::kFixedPriority, 1.0);
 }
 BENCHMARK(BM_SimFixedPriority);
 
 void BM_SimHeavyFaults(benchmark::State& state) {
   // f scaled to 0.1: frequent re-executions stress the re-dispatch path.
-  run_policy(state, sim::PolicyKind::kEdfVd, 1e4);
+  run_policy(state, PolicyKind::kEdfVd, 1e4);
 }
 BENCHMARK(BM_SimHeavyFaults);
 
@@ -80,7 +80,7 @@ void BM_SimSporadicArrivals(benchmark::State& state) {
   const auto tasks = fms_tasks();
   for (auto _ : state) {
     sim::SimConfig cfg;
-    cfg.policy = sim::PolicyKind::kEdf;
+    cfg.policy = PolicyKind::kEdf;
     cfg.horizon = 60 * sim::kTicksPerSecond;
     cfg.sporadic_arrivals = true;
     cfg.jitter_fraction = 0.2;
@@ -108,8 +108,8 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
     auto tasks = fms_tasks(0.5);
     for (auto& t : tasks) t.failure_prob *= fault_scale;
     sim::SimConfig cfg;
-    cfg.policy = sim::PolicyKind::kEdfVd;
-    cfg.adaptation = mcs::AdaptationKind::kKilling;
+    cfg.policy = PolicyKind::kEdfVd;
+    cfg.adaptation = AdaptationKind::kKilling;
     cfg.horizon = static_cast<sim::Tick>(minutes) * 60 *
                   sim::kTicksPerSecond;
     cfg.seed = 20140601;

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
             << " simulated hours, EDF, worst-case execution times\n\n";
 
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdf;
-  cfg.adaptation = mcs::AdaptationKind::kNone;
+  cfg.policy = PolicyKind::kEdf;
+  cfg.adaptation = AdaptationKind::kNone;
   cfg.horizon = static_cast<sim::Tick>(hours * sim::kTicksPerHour);
   cfg.seed = 424242;
   sim::Simulator simulator(sim::build_sim_tasks(ts, n_hi, n_lo, n_hi, 1.0),
@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   const Millis mission_ms = 1'000.0;  // one second: 1 - R ~ 0.23
   const auto n_adapt = core::uniform_profile(ts, 1, 0);
   sim::SimConfig mc_cfg;
-  mc_cfg.policy = sim::PolicyKind::kEdfVd;
-  mc_cfg.adaptation = mcs::AdaptationKind::kKilling;
+  mc_cfg.policy = PolicyKind::kEdfVd;
+  mc_cfg.adaptation = AdaptationKind::kKilling;
   sim::MonteCarloOptions mc_opt;
   mc_opt.missions = 400;
   if (const char* env = std::getenv("FTMC_BENCH_MISSIONS")) {

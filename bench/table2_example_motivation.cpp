@@ -47,7 +47,7 @@ task tau5 T=70 C=8 dal=D f=1e-5
             << (worst_u > 1.0 ? "NOT schedulable" : "schedulable") << "\n\n";
 
   core::FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+  cfg.adaptation.kind = AdaptationKind::kKilling;
   cfg.adaptation.os_hours = 1.0;
   const auto r = core::ft_schedule(ts, cfg);
   std::cout << "FT-EDF-VD with task killing: "

@@ -30,12 +30,12 @@ int main(int argc, char** argv) {
   }
 
   core::FtsConfig kill;
-  kill.adaptation.kind = mcs::AdaptationKind::kKilling;
+  kill.adaptation.kind = AdaptationKind::kKilling;
   kill.adaptation.os_hours = os_hours;
   std::cout << core::certification_report(tasks, kill) << "\n";
 
   core::FtsConfig degrade;
-  degrade.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  degrade.adaptation.kind = AdaptationKind::kDegradation;
   degrade.adaptation.degradation_factor = fms::kFmsDegradationFactor;
   degrade.adaptation.os_hours = os_hours;
   std::cout << core::certification_report(tasks, degrade);

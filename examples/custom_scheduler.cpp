@@ -34,8 +34,8 @@ class HalfAndHalfTest final : public ftmc::mcs::SchedulabilityTest {
     return lo_side <= 0.5 && hi_side <= 0.5;
   }
   std::string name() const override { return "half-and-half (custom)"; }
-  ftmc::mcs::AdaptationKind adaptation() const override {
-    return ftmc::mcs::AdaptationKind::kKilling;
+  ftmc::AdaptationKind adaptation() const override {
+    return ftmc::AdaptationKind::kKilling;
   }
 };
 
@@ -78,7 +78,7 @@ task tau5 T=70 C=8 dal=D f=1e-5
                    "pfh(LO)"});
   for (const auto& technique : techniques) {
     core::FtsConfig cfg;
-    cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+    cfg.adaptation.kind = AdaptationKind::kKilling;
     cfg.adaptation.os_hours = 1.0;
     cfg.test = technique;
     cfg.use_closed_form_umc = false;  // force the generic search path

@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
   std::cout << "EDF-VD virtual-deadline factor x = " << vd.x << "\n";
 
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.policy = PolicyKind::kEdfVd;
+  cfg.adaptation = AdaptationKind::kKilling;
   cfg.horizon = 60 * sim::kTicksPerSecond;  // one simulated minute
   cfg.seed = seed;
   cfg.trace_capacity = 200'000;
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   const auto& trace = simulator.trace();
   std::size_t switch_pos = trace.size();
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].kind == sim::TraceKind::kModeSwitch) {
+    if (trace[i].kind == rt::EventKind::kModeSwitch) {
       switch_pos = i;
       break;
     }
@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
     const std::size_t end = std::min(switch_pos + 7, trace.size());
     for (std::size_t i = begin; i < end; ++i) {
       std::cout << "  " << trace[i];
-      if (trace[i].kind != sim::TraceKind::kModeSwitch &&
-          trace[i].kind != sim::TraceKind::kModeReset) {
+      if (trace[i].kind != rt::EventKind::kModeSwitch &&
+          trace[i].kind != rt::EventKind::kModeReset) {
         std::cout << " (" << simulator.tasks()[trace[i].task].name << ")";
       }
       std::cout << "\n";

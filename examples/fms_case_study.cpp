@@ -70,14 +70,14 @@ int main(int argc, char** argv) {
 
   // Option A: kill the flightplan tasks at the mode switch.
   core::FtsConfig kill;
-  kill.adaptation.kind = mcs::AdaptationKind::kKilling;
+  kill.adaptation.kind = AdaptationKind::kKilling;
   kill.adaptation.os_hours = fms::kFmsOperationHours;
   const auto r_kill = core::ft_schedule(fms, kill);
   report("Option A - task killing", r_kill);
 
   // Option B: degrade them (periods x6) instead.
   core::FtsConfig degrade;
-  degrade.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  degrade.adaptation.kind = AdaptationKind::kDegradation;
   degrade.adaptation.degradation_factor = fms::kFmsDegradationFactor;
   degrade.adaptation.os_hours = fms::kFmsOperationHours;
   const auto r_deg = core::ft_schedule(fms, degrade);
@@ -87,10 +87,10 @@ int main(int argc, char** argv) {
   std::cout << "\npfh(LO) comparison across killing profiles "
                "(level C requires < 1e-5):\n";
   core::AdaptationModel km;
-  km.kind = mcs::AdaptationKind::kKilling;
+  km.kind = AdaptationKind::kKilling;
   km.os_hours = fms::kFmsOperationHours;
   core::AdaptationModel dm;
-  dm.kind = mcs::AdaptationKind::kDegradation;
+  dm.kind = AdaptationKind::kDegradation;
   dm.degradation_factor = fms::kFmsDegradationFactor;
   dm.os_hours = fms::kFmsOperationHours;
 
@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
         core::convert_to_mc(fms, r_deg.n_hi, r_deg.n_lo, r_deg.n_adapt);
     const double x = mcs::analyze_edf_vd(converted).x;
     sim::SimConfig cfg;
-    cfg.policy = sim::PolicyKind::kEdfVd;
-    cfg.adaptation = mcs::AdaptationKind::kDegradation;
+    cfg.policy = PolicyKind::kEdfVd;
+    cfg.adaptation = AdaptationKind::kDegradation;
     cfg.degradation_factor = fms::kFmsDegradationFactor;
     cfg.horizon = sim::kTicksPerSecond;
     cfg.seed = 7;

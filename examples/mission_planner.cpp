@@ -22,7 +22,7 @@ namespace {
 using namespace ftmc;
 
 /// One cell of the design-space table.
-std::string verdict(const core::FtTaskSet& ts, mcs::AdaptationKind kind,
+std::string verdict(const core::FtTaskSet& ts, AdaptationKind kind,
                     double os, double df) {
   core::FtsConfig cfg;
   cfg.adaptation.kind = kind;
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   io::Table kill_table({"O_S [h]", "killing"});
   for (const double os : missions) {
     kill_table.add_row({io::Table::num(os, 3),
-                        verdict(tasks, mcs::AdaptationKind::kKilling, os,
+                        verdict(tasks, AdaptationKind::kKilling, os,
                                 1.0)});
   }
   std::cout << kill_table << "\n";
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {io::Table::num(os, 3)};
     for (const double df : dfs) {
       row.push_back(
-          verdict(tasks, mcs::AdaptationKind::kDegradation, os, df));
+          verdict(tasks, AdaptationKind::kDegradation, os, df));
     }
     deg_table.add_row(row);
   }
@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
   for (const std::size_t i : front) {
     const auto& p = points[i];
     pareto.add_row(
-        {p.kind == mcs::AdaptationKind::kKilling ? "killing" : "degrade",
-         p.kind == mcs::AdaptationKind::kKilling
+        {p.kind == AdaptationKind::kKilling ? "killing" : "degrade",
+         p.kind == AdaptationKind::kKilling
              ? "-"
              : io::Table::num(p.degradation_factor, 3),
          std::to_string(p.segments),

@@ -32,7 +32,7 @@ int main() {
   // HI job starts its (n'+1)-th execution, EDF-VD underneath.
   core::FtsConfig config;
   config.requirements = core::SafetyRequirements::do178b();
-  config.adaptation.kind = mcs::AdaptationKind::kKilling;
+  config.adaptation.kind = AdaptationKind::kKilling;
   config.adaptation.os_hours = 1.0;  // mission duration O_S
 
   const core::FtsResult result = core::ft_schedule(tasks, config);

@@ -37,14 +37,14 @@ task tau5 T=70 C=8 dal=D f=1e-5
 )";
 
 void simulate_plan(const core::FtTaskSet& ts, const core::FtsResult& plan,
-                   mcs::AdaptationKind kind, int minutes) {
+                   AdaptationKind kind, int minutes) {
   double x = 1.0;
   if (plan.n_adapt < plan.n_hi) {
     const auto vd = mcs::analyze_edf_vd(plan.converted);
     x = std::clamp(vd.x, 0.001, 1.0);
   }
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
+  cfg.policy = PolicyKind::kEdfVd;
   cfg.adaptation = kind;
   cfg.degradation_factor = 6.0;
   cfg.horizon = static_cast<sim::Tick>(minutes) * 60 *
@@ -104,10 +104,10 @@ int main(int argc, char** argv) {
   }
 
   core::FtsConfig kill;
-  kill.adaptation.kind = mcs::AdaptationKind::kKilling;
+  kill.adaptation.kind = AdaptationKind::kKilling;
   kill.adaptation.os_hours = 1.0;
   core::FtsConfig degrade;
-  degrade.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  degrade.adaptation.kind = AdaptationKind::kDegradation;
   degrade.adaptation.degradation_factor = 6.0;
   degrade.adaptation.os_hours = 1.0;
 
@@ -146,8 +146,8 @@ int main(int argc, char** argv) {
     const core::FtsResult& plan = r_kill.success ? r_kill : r_deg;
     if (plan.success) {
       simulate_plan(ts, plan,
-                    r_kill.success ? mcs::AdaptationKind::kKilling
-                                   : mcs::AdaptationKind::kDegradation,
+                    r_kill.success ? AdaptationKind::kKilling
+                                   : AdaptationKind::kDegradation,
                     simulate_minutes);
     } else {
       std::cout << "\n(nothing to simulate: neither policy certifies)\n";

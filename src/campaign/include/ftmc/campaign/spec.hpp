@@ -49,7 +49,7 @@ enum class Scheduler {
     std::string_view text);
 /// What the technique does to LO tasks at the mode switch (selects the
 /// PFH lemma inside FT-S).
-[[nodiscard]] mcs::AdaptationKind adaptation_of(
+[[nodiscard]] AdaptationKind adaptation_of(
     Scheduler scheduler) noexcept;
 
 /// Task-set generator axes shared by every cell (Appendix C generator;

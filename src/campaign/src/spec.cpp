@@ -106,10 +106,10 @@ std::optional<Scheduler> parse_scheduler(std::string_view text) {
   return std::nullopt;
 }
 
-mcs::AdaptationKind adaptation_of(Scheduler scheduler) noexcept {
+AdaptationKind adaptation_of(Scheduler scheduler) noexcept {
   return scheduler == Scheduler::kEdfVdDegradation
-             ? mcs::AdaptationKind::kDegradation
-             : mcs::AdaptationKind::kKilling;
+             ? AdaptationKind::kDegradation
+             : AdaptationKind::kKilling;
 }
 
 void CampaignSpec::validate() const {
@@ -272,7 +272,7 @@ std::vector<CellSpec> expand_cells(const CampaignSpec& spec) {
 
 std::string canonical_cell_json(const CellSpec& cell) {
   io::json::Object out;
-  if (adaptation_of(cell.scheduler) == mcs::AdaptationKind::kDegradation) {
+  if (adaptation_of(cell.scheduler) == AdaptationKind::kDegradation) {
     out.add_number("degradation_factor", cell.degradation_factor);
   }
   out.add_number("failure_prob", cell.failure_prob)

@@ -25,7 +25,7 @@ namespace ftmc::check {
 
 /// A parsed `ftmc-blackbox-v1` document.
 struct BlackBoxDump {
-  std::vector<rt::PosixTask> tasks;
+  std::vector<rt::HostTask> tasks;
   rt::PosixHostConfig config;
   std::vector<rt::BlackBoxRecord> records;  ///< surviving, oldest first
   std::uint64_t total_records = 0;
@@ -39,10 +39,12 @@ struct BlackBoxDump {
 [[nodiscard]] BlackBoxDump parse_blackbox_json(std::string_view text);
 
 /// Replays the dump's configuration through the simulator host and
-/// checks every surviving record against the simulator event its
-/// sequence number names. Admission records are checked for range only
-/// (the simulator host admits analytically, not via the core's density
-/// test). Succeeds on truncated (SIGINT) and wrapped rings alike.
+/// checks every surviving scheduling record, field for field, against
+/// the simulator event its sequence number names (through replay_events).
+/// Admission records are checked for range only (the simulator host
+/// admits analytically, not via the core's density test). Succeeds on
+/// truncated (SIGINT) and wrapped rings alike. `first_divergence` is a
+/// position in `dump.records`.
 [[nodiscard]] ReplayDiff replay_blackbox_through_sim(const BlackBoxDump& dump);
 
 /// Property: a PosixHost run dumped through an in-memory writer, parsed

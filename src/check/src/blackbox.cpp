@@ -1,64 +1,73 @@
 #include "ftmc/check/blackbox.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "ftmc/common/contracts.hpp"
 #include "ftmc/io/json.hpp"
 #include "ftmc/rt/blackbox_io.hpp"
-#include "ftmc/sim/engine.hpp"
+#include "ftmc/sim/model.hpp"
 
 namespace ftmc::check {
 
 namespace {
 
-rt::TaskParams parse_params(const io::json::Value& t) {
-  rt::TaskParams p;
-  p.period = static_cast<rt::Tick>(t.at("period").as_uint64());
-  p.deadline = static_cast<rt::Tick>(t.at("deadline").as_uint64());
-  p.wcet = static_cast<rt::Tick>(t.at("wcet").as_uint64());
-  p.virtual_deadline =
-      static_cast<rt::Tick>(t.at("virtual_deadline").as_uint64());
+/// `obj[field]` as an unsigned integer that fits T.
+template <typename T>
+T uint_field(const io::json::Value& obj, const char* field) {
+  const std::uint64_t v = obj.at(field).as_uint64();
+  FTMC_EXPECTS(v <= static_cast<std::uint64_t>(std::numeric_limits<T>::max()),
+               std::string("blackbox: ") + field + " out of range");
+  return static_cast<T>(v);
+}
+
+/// `obj[field]` as an int: a finite integral number in int's range (null,
+/// "inf" and 1e300 are rejected rather than cast).
+int int_field(const io::json::Value& obj, const char* field) {
+  const double v = obj.at(field).as_number();
+  FTMC_EXPECTS(v >= std::numeric_limits<int>::min() &&
+                   v <= std::numeric_limits<int>::max() && v == std::trunc(v),
+               std::string("blackbox: ") + field + " out of range");
+  return static_cast<int>(v);
+}
+
+rt::HostTask parse_task(const io::json::Value& t) {
+  rt::HostTask task;
+  task.name = t.at("name").as_string();
+  task.period = uint_field<rt::Tick>(t, "period");
+  task.deadline = uint_field<rt::Tick>(t, "deadline");
+  task.wcet = uint_field<rt::Tick>(t, "wcet");
+  task.virtual_deadline = uint_field<rt::Tick>(t, "virtual_deadline");
   const std::string& crit = t.at("crit").as_string();
   FTMC_EXPECTS(crit == "HI" || crit == "LO",
                "blackbox: task crit must be HI or LO");
-  p.crit = crit == "HI" ? CritLevel::HI : CritLevel::LO;
-  p.max_attempts = static_cast<int>(t.at("max_attempts").as_uint64());
-  p.adapt_threshold = static_cast<int>(t.at("adapt_threshold").as_uint64());
-  p.priority = static_cast<int>(t.at("priority").as_number());
-  p.segments = static_cast<int>(t.at("segments").as_uint64());
-  return p;
+  task.crit = crit == "HI" ? CritLevel::HI : CritLevel::LO;
+  task.max_attempts = uint_field<int>(t, "max_attempts");
+  task.adapt_threshold = uint_field<int>(t, "adapt_threshold");
+  task.priority = int_field(t, "priority");
+  task.segments = uint_field<int>(t, "segments");
+  task.failure_prob = t.at("failure_prob").as_number();
+  task.checkpoint_overhead = t.at("checkpoint_overhead").as_number();
+  return task;
 }
 
 rt::BlackBoxRecord parse_record(const io::json::Value& r) {
   rt::BlackBoxRecord rec;
   rec.seq = r.at("seq").as_uint64();
-  rec.time = static_cast<rt::Tick>(r.at("time").as_uint64());
+  rec.time = uint_field<rt::Tick>(r, "time");
   rt::RecordKind kind;
   FTMC_EXPECTS(
       rt::record_kind_from_string(r.at("kind").as_string().c_str(), kind),
       "blackbox: unknown record kind '" + r.at("kind").as_string() + "'");
   rec.kind = kind;
-  rec.task = static_cast<std::uint32_t>(r.at("task").as_uint64());
+  rec.task = uint_field<std::uint32_t>(r, "task");
   rec.job = r.at("job").as_uint64();
-  rec.detail = static_cast<std::uint32_t>(r.at("detail").as_uint64());
-  rec.release = static_cast<rt::Tick>(r.at("release").as_uint64());
-  rec.abs_deadline = static_cast<rt::Tick>(r.at("deadline").as_uint64());
+  rec.detail = uint_field<std::uint32_t>(r, "detail");
+  rec.release = uint_field<rt::Tick>(r, "release");
+  rec.abs_deadline = uint_field<rt::Tick>(r, "deadline");
   return rec;
-}
-
-std::string describe(const rt::BlackBoxRecord& r) {
-  std::ostringstream os;
-  os << "seq=" << r.seq << " t=" << r.time << " " << rt::to_string(r.kind)
-     << " task=" << r.task << " job=" << r.job << " detail=" << r.detail;
-  return os.str();
-}
-
-std::string describe(const sim::TraceEvent& e) {
-  std::ostringstream os;
-  os << "t=" << e.time << " " << sim::to_string(e.kind) << " task=" << e.task
-     << " job=" << e.job << " detail=" << e.detail;
-  return os.str();
 }
 
 }  // namespace
@@ -73,10 +82,10 @@ BlackBoxDump parse_blackbox_json(std::string_view text) {
   const io::json::Value& cfg = doc.at("config");
   rt::PosixHostConfig& c = dump.config;
   FTMC_EXPECTS(
-      rt::policy_from_string(cfg.at("policy").as_string(), c.core.policy),
+      policy_from_string(cfg.at("policy").as_string(), c.core.policy),
       "blackbox: unknown policy '" + cfg.at("policy").as_string() + "'");
-  FTMC_EXPECTS(rt::adaptation_from_string(cfg.at("adaptation").as_string(),
-                                          c.core.adaptation),
+  FTMC_EXPECTS(adaptation_from_string(cfg.at("adaptation").as_string(),
+                                      c.core.adaptation),
                "blackbox: unknown adaptation '" +
                    cfg.at("adaptation").as_string() + "'");
   c.core.degradation_factor = cfg.at("degradation_factor").as_number();
@@ -95,12 +104,7 @@ BlackBoxDump parse_blackbox_json(std::string_view text) {
                    cfg.at("fault_model").as_string() + "'");
 
   for (const io::json::Value& t : doc.at("tasks").items()) {
-    rt::PosixTask task;
-    task.params = parse_params(t);
-    task.failure_prob = t.at("failure_prob").as_number();
-    task.checkpoint_overhead = t.at("checkpoint_overhead").as_number();
-    task.name = t.at("name").as_string();
-    dump.tasks.push_back(std::move(task));
+    dump.tasks.push_back(parse_task(t));
   }
   FTMC_EXPECTS(!dump.tasks.empty(), "blackbox: dump carries no tasks");
 
@@ -122,71 +126,58 @@ BlackBoxDump parse_blackbox_json(std::string_view text) {
 }
 
 ReplayDiff replay_blackbox_through_sim(const BlackBoxDump& dump) {
-  // The simulator must keep enough trace to cover the highest sequence
-  // number the dump can name; admission records sit before event 0.
-  rt::PosixHostConfig cfg = dump.config;
-  cfg.trace_capacity = static_cast<std::size_t>(dump.total_records);
-  const std::vector<sim::TraceEvent> sim_trace =
-      replay_sim_trace(dump.tasks, cfg);
-
-  ReplayDiff diff;
-  diff.posix_events = dump.records.size();
-  diff.sim_events = sim_trace.size();
+  // Record `seq` names simulator event `seq - admission_records`; the
+  // admission verdicts sit before event 0 and are only range-checked.
+  std::vector<ExpectedEvent> expected;
+  expected.reserve(dump.records.size());
+  std::size_t admissions = 0;  // surviving admission records, all leading
   for (std::size_t i = 0; i < dump.records.size(); ++i) {
     const rt::BlackBoxRecord& r = dump.records[i];
-    if (r.kind == rt::RecordKind::kAdmit ||
-        r.kind == rt::RecordKind::kReject) {
-      if (r.seq >= dump.admission_records) {
-        diff.first_divergence = i;
-        diff.message = "admission record after the admission prefix: {" +
-                       describe(r) + "}";
-        return diff;
-      }
-      continue;
-    }
-    if (r.seq < dump.admission_records) {
+    const bool admission = r.kind == rt::RecordKind::kAdmit ||
+                           r.kind == rt::RecordKind::kReject;
+    if (admission != (r.seq < dump.admission_records)) {
+      ReplayDiff diff;
+      diff.posix_events = dump.records.size();
       diff.first_divergence = i;
-      diff.message = "scheduling record inside the admission prefix: {" +
-                     describe(r) + "}";
+      diff.message = std::string(admission ? "admission" : "scheduling") +
+                     " record " + std::to_string(r.seq) +
+                     (admission ? " after" : " inside") +
+                     " the admission prefix";
       return diff;
     }
-    const std::uint64_t index = r.seq - dump.admission_records;
-    if (index >= sim_trace.size()) {
-      diff.first_divergence = i;
-      diff.message = "record names simulator event " + std::to_string(index) +
-                     " beyond the replayed trace (" +
-                     std::to_string(sim_trace.size()) + " events): {" +
-                     describe(r) + "}";
-      return diff;
-    }
-    const sim::TraceEvent& e = sim_trace[static_cast<std::size_t>(index)];
-    if (r.time == e.time &&
-        static_cast<int>(r.kind) == static_cast<int>(e.kind) &&
-        r.task == e.task && r.job == e.job && r.detail == e.detail) {
+    if (admission) {
+      ++admissions;
       continue;
     }
-    diff.first_divergence = i;
-    diff.message = "record " + std::to_string(r.seq) + " diverges: blackbox {" +
-                   describe(r) + "} vs sim {" + describe(e) + "}";
-    return diff;
+    // RecordKind 0-9 mirror EventKind (static_asserted in rt/core.cpp).
+    expected.push_back(
+        {static_cast<std::size_t>(r.seq - dump.admission_records),
+         {r.time, static_cast<rt::EventKind>(r.kind), r.task, r.job, r.detail,
+          r.release, r.abs_deadline}});
   }
-  diff.identical = true;
-  diff.first_divergence = SIZE_MAX;
+  // The simulator must keep enough trace to cover the highest sequence
+  // number the dump can name.
+  rt::PosixHostConfig cfg = dump.config;
+  cfg.trace_capacity = static_cast<std::size_t>(dump.total_records);
+  ReplayDiff diff = replay_events(dump.tasks, cfg, expected, "blackbox",
+                                  /*whole_stream=*/false);
+  diff.posix_events = dump.records.size();
+  if (!diff.identical) diff.first_divergence += admissions;
   return diff;
 }
 
 Outcome p_blackbox_replay(const Case& c, const PropertyContext& ctx) {
   if (c.ts.size() == 0) return Outcome::skip("empty set");
-  std::vector<rt::PosixTask> tasks = posix_tasks_from_sim(
-      sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, 0.75));
+  std::vector<rt::HostTask> tasks =
+      sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, 0.75);
   // Inflated fault rate so re-executions, mode switches and degraded
   // releases occur inside the bounded window (mirrors the bernoulli
   // replay property).
-  for (rt::PosixTask& t : tasks) t.failure_prob = 0.05;
+  for (rt::HostTask& t : tasks) t.failure_prob = 0.05;
 
   rt::PosixHostConfig cfg;
-  cfg.core.policy = rt::Policy::kEdfVd;
-  cfg.core.adaptation = rt::Adaptation::kDegradation;
+  cfg.core.policy = PolicyKind::kEdfVd;
+  cfg.core.adaptation = AdaptationKind::kDegradation;
   cfg.core.degradation_factor = std::max(c.degradation_factor, 1.0);
   cfg.core.mode_reset_on_idle = true;
   cfg.core.allow_job_growth = true;
@@ -197,7 +188,7 @@ Outcome p_blackbox_replay(const Case& c, const PropertyContext& ctx) {
       bounded_hyperperiod(c.ts, ctx.max_sim_horizon), 2'000'000);
   cfg.time_scale = 0.0;
   cfg.seed = c.seed;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   cfg.trace_capacity = 200'000;
 
   rt::PosixHost host(tasks, cfg);

@@ -44,19 +44,19 @@ void bump(const PropertyContext& ctx, const char* name) {
 
 /// Runs the worst-case fault adversary over the bounded hyperperiod and
 /// reports the first deadline miss as a failure of `claim`.
-Outcome run_worst_case_sim(const Case& c, sim::PolicyKind policy,
-                           mcs::AdaptationKind adaptation, double x,
+Outcome run_worst_case_sim(const Case& c, PolicyKind policy,
+                           AdaptationKind adaptation, double x,
                            const PropertyContext& ctx,
                            std::string_view claim) {
   sim::SimConfig cfg;
   cfg.policy = policy;
   cfg.adaptation = adaptation;
-  cfg.degradation_factor = adaptation == mcs::AdaptationKind::kDegradation
+  cfg.degradation_factor = adaptation == AdaptationKind::kDegradation
                                ? c.degradation_factor
                                : 1.0;
   cfg.horizon = bounded_hyperperiod(c.ts, ctx.max_sim_horizon);
   cfg.seed = c.seed;  // unused by the adversary; kept for reproducibility
-  cfg.fault_adversary = sim::FaultAdversary::kExhaustBudget;
+  cfg.fault_adversary = rt::FaultModel::kExhaustBudget;
   sim::Simulator simulator(
       sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, x), cfg);
   const sim::SimStats stats = simulator.run();
@@ -96,8 +96,8 @@ Outcome p_edf_vd_killing_vs_sim(const Case& c, const PropertyContext& ctx) {
     bump(ctx, "check.marginal_skips");
     return Outcome::skip("marginal acceptance");
   }
-  return run_worst_case_sim(c, sim::PolicyKind::kEdfVd,
-                            mcs::AdaptationKind::kKilling, clamp_x(vd.x),
+  return run_worst_case_sim(c, PolicyKind::kEdfVd,
+                            AdaptationKind::kKilling, clamp_x(vd.x),
                             ctx, "FT-EDF-VD (killing)");
 }
 
@@ -115,8 +115,8 @@ Outcome p_edf_vd_degradation_vs_sim(const Case& c,
     bump(ctx, "check.marginal_skips");
     return Outcome::skip("marginal acceptance");
   }
-  return run_worst_case_sim(c, sim::PolicyKind::kEdfVd,
-                            mcs::AdaptationKind::kDegradation,
+  return run_worst_case_sim(c, PolicyKind::kEdfVd,
+                            AdaptationKind::kDegradation,
                             clamp_x(an.x), ctx, "FT-EDF-VD (degradation)");
 }
 
@@ -136,8 +136,8 @@ Outcome p_amc_rtb_vs_sim(const Case& c, const PropertyContext& ctx) {
       return Outcome::skip("marginal acceptance");
     }
   }
-  return run_worst_case_sim(c, sim::PolicyKind::kFixedPriority,
-                            mcs::AdaptationKind::kKilling, 1.0, ctx,
+  return run_worst_case_sim(c, PolicyKind::kFixedPriority,
+                            AdaptationKind::kKilling, 1.0, ctx,
                             "AMC-rtb (DM priorities)");
 }
 
@@ -170,7 +170,7 @@ Outcome p_edf_vd_subset_mc_dbf(const Case& c, const PropertyContext& ctx) {
     return Outcome::skip("marginal acceptance");
   }
   const Outcome sim_verdict = run_worst_case_sim(
-      c, sim::PolicyKind::kEdfVd, mcs::AdaptationKind::kKilling,
+      c, PolicyKind::kEdfVd, AdaptationKind::kKilling,
       clamp_x(vd.x), ctx, "FT-EDF-VD (killing)");
   if (sim_verdict.verdict == Verdict::kFail) {
     return Outcome::fail(

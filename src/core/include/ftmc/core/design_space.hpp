@@ -24,7 +24,7 @@ namespace ftmc::core {
 
 /// One explored configuration and its scores.
 struct DesignPoint {
-  mcs::AdaptationKind kind = mcs::AdaptationKind::kKilling;
+  AdaptationKind kind = AdaptationKind::kKilling;
   double degradation_factor = 1.0;  ///< meaningful for kDegradation
   int segments = 1;                 ///< 1 = the paper's re-execution
   double overhead_fraction = 0.0;

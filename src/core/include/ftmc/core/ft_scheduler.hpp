@@ -99,7 +99,7 @@ struct FtsResult {
 /// base (single-execution) utilizations of the two levels.
 [[nodiscard]] double umc_closed_form(double u_hi_base, double u_lo_base,
                                      int n_hi, int n_lo, int n_adapt,
-                                     mcs::AdaptationKind kind, double df);
+                                     AdaptationKind kind, double df);
 
 /// One point of the Fig. 1 / Fig. 2 sweep.
 struct AdaptationSweepPoint {

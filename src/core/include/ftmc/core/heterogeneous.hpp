@@ -42,7 +42,7 @@ struct HeterogeneousResult {
 /// Eq. (12) (degradation), given fixed U_LO^LO and U_HI^HI. Returns a
 /// negative value when no budget exists (U_LO^LO or U_HI^HI too large).
 [[nodiscard]] double adaptation_budget(double u_lo_lo, double u_hi_hi,
-                                       mcs::AdaptationKind kind, double df);
+                                       AdaptationKind kind, double df);
 
 /// Greedy per-task allocation. Re-execution profiles are the uniform
 /// (n_hi, n_lo) pair from Algorithm 1 line 1-3; the result dominates (is

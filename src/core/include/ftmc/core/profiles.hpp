@@ -36,7 +36,7 @@ inline constexpr int kMaxProfile = 64;
 
 /// Which adaptation mechanism the LO bound should be computed for.
 struct AdaptationModel {
-  mcs::AdaptationKind kind = mcs::AdaptationKind::kKilling;
+  AdaptationKind kind = AdaptationKind::kKilling;
   double degradation_factor = 2.0;  ///< d_f; only used for kDegradation
   double os_hours = 1.0;            ///< operation duration O_S
 };

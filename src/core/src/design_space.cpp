@@ -11,12 +11,12 @@ namespace ftmc::core {
 namespace {
 
 /// U_MC of an accepted converted set under the matching EDF-VD test.
-double umc_of(const mcs::McTaskSet& converted, mcs::AdaptationKind kind,
+double umc_of(const mcs::McTaskSet& converted, AdaptationKind kind,
               double df) {
   if (!converted.all_implicit_deadlines()) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  if (kind == mcs::AdaptationKind::kDegradation) {
+  if (kind == AdaptationKind::kDegradation) {
     return mcs::analyze_edf_vd_degradation(converted, df).u_mc;
   }
   return mcs::analyze_edf_vd(converted).u_mc;
@@ -31,7 +31,7 @@ void score(DesignPoint& p, const SafetyRequirements& reqs, Dal lo_dal) {
     p.certifiable = false;
     return;
   }
-  p.service_quality = (p.kind == mcs::AdaptationKind::kDegradation)
+  p.service_quality = (p.kind == AdaptationKind::kDegradation)
                           ? 1.0 / p.degradation_factor
                           : 0.0;
   const auto req = reqs.requirement(lo_dal);
@@ -46,7 +46,7 @@ void score(DesignPoint& p, const SafetyRequirements& reqs, Dal lo_dal) {
 }
 
 DesignPoint evaluate(const FtTaskSet& ts, const DesignSpaceOptions& opt,
-                     mcs::AdaptationKind kind, double df, int segments) {
+                     AdaptationKind kind, double df, int segments) {
   DesignPoint p;
   p.kind = kind;
   p.degradation_factor = df;
@@ -99,7 +99,7 @@ std::vector<DesignPoint> explore_design_space(
   // the independent points in parallel into index-addressed slots; the
   // returned order is the grid order regardless of thread count.
   struct Combo {
-    mcs::AdaptationKind kind;
+    AdaptationKind kind;
     double df;
     int segments;
   };
@@ -107,11 +107,11 @@ std::vector<DesignPoint> explore_design_space(
   for (const int k : options.segment_counts) {
     FTMC_EXPECTS(k >= 1, "segment counts must be positive");
     if (options.include_killing) {
-      grid.push_back({mcs::AdaptationKind::kKilling, 1.0, k});
+      grid.push_back({AdaptationKind::kKilling, 1.0, k});
     }
     for (const double df : options.degradation_factors) {
       FTMC_EXPECTS(df > 1.0, "degradation factors must exceed 1");
-      grid.push_back({mcs::AdaptationKind::kDegradation, df, k});
+      grid.push_back({AdaptationKind::kDegradation, df, k});
     }
   }
 

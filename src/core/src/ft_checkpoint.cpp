@@ -224,13 +224,13 @@ CkptFtsResult ft_schedule_checkpointed(const FtTaskSet& ts,
   };
   const auto pfh_lo_at = [&](int m) {
     switch (config.adaptation.kind) {
-      case mcs::AdaptationKind::kKilling:
+      case AdaptationKind::kKilling:
         return ckpt_pfh_lo_killing(ts, schemes, thresholds_for(m),
                                    config.adaptation.os_hours);
-      case mcs::AdaptationKind::kDegradation:
+      case AdaptationKind::kDegradation:
         return ckpt_pfh_lo_degradation(ts, schemes, thresholds_for(m),
                                        config.adaptation.os_hours);
-      case mcs::AdaptationKind::kNone:
+      case AdaptationKind::kNone:
         return pfh_plain_checkpointed(ts, schemes, CritLevel::LO);
     }
     FTMC_ENSURES(false, "unreachable adaptation kind");
@@ -260,13 +260,13 @@ CkptFtsResult ft_schedule_checkpointed(const FtTaskSet& ts,
   mcs::SchedulabilityTestPtr test = config.test;
   if (!test) {
     switch (config.adaptation.kind) {
-      case mcs::AdaptationKind::kNone:
+      case AdaptationKind::kNone:
         test = std::make_shared<const mcs::EdfWorstCaseTest>();
         break;
-      case mcs::AdaptationKind::kKilling:
+      case AdaptationKind::kKilling:
         test = std::make_shared<const mcs::EdfVdTest>();
         break;
-      case mcs::AdaptationKind::kDegradation:
+      case AdaptationKind::kDegradation:
         test = std::make_shared<const mcs::EdfVdDegradationTest>(
             config.adaptation.degradation_factor);
         break;

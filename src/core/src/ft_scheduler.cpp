@@ -20,7 +20,7 @@ std::string_view to_string(FtsFailure failure) {
 }
 
 double umc_closed_form(double u_hi_base, double u_lo_base, int n_hi,
-                       int n_lo, int n_adapt, mcs::AdaptationKind kind,
+                       int n_lo, int n_adapt, AdaptationKind kind,
                        double df) {
   FTMC_EXPECTS(u_hi_base >= 0.0 && u_lo_base >= 0.0,
                "utilizations must be non-negative");
@@ -30,11 +30,11 @@ double umc_closed_form(double u_hi_base, double u_lo_base, int n_hi,
   const double u_hi_lo = n_adapt * u_hi_base;  // U_HI^LO = n * U_HI
   const double u_hi_hi = n_hi * u_hi_base;   // U_HI^HI
   switch (kind) {
-    case mcs::AdaptationKind::kNone:
+    case AdaptationKind::kNone:
       return u_hi_hi + u_lo_lo;  // worst-case EDF utilization
-    case mcs::AdaptationKind::kKilling:
+    case AdaptationKind::kKilling:
       return mcs::edf_vd_umc(u_lo_lo, u_hi_lo, u_hi_hi);
-    case mcs::AdaptationKind::kDegradation:
+    case AdaptationKind::kDegradation:
       return mcs::edf_vd_degradation_umc(u_lo_lo, u_hi_lo, u_hi_hi, df);
   }
   FTMC_ENSURES(false, "unreachable adaptation kind");
@@ -45,11 +45,11 @@ namespace {
 
 mcs::SchedulabilityTestPtr default_test(const AdaptationModel& model) {
   switch (model.kind) {
-    case mcs::AdaptationKind::kNone:
+    case AdaptationKind::kNone:
       return std::make_shared<const mcs::EdfWorstCaseTest>();
-    case mcs::AdaptationKind::kKilling:
+    case AdaptationKind::kKilling:
       return std::make_shared<const mcs::EdfVdTest>();
-    case mcs::AdaptationKind::kDegradation:
+    case AdaptationKind::kDegradation:
       return std::make_shared<const mcs::EdfVdDegradationTest>(
           model.degradation_factor);
   }
@@ -66,7 +66,7 @@ std::optional<int> max_schedulable_adaptation(
     const mcs::SchedulabilityTest& test) {
   const bool closed_form = cfg.use_closed_form_umc &&
                            ts.all_implicit_deadlines() &&
-                           cfg.adaptation.kind != mcs::AdaptationKind::kNone;
+                           cfg.adaptation.kind != AdaptationKind::kNone;
   const double u_hi_base = ts.utilization(CritLevel::HI);
   const double u_lo_base = ts.utilization(CritLevel::LO);
   for (int n = n_hi; n >= 0; --n) {
@@ -126,7 +126,7 @@ FtsResult ft_schedule(const FtTaskSet& ts, const FtsConfig& cfg) {
     result.u_mc = umc_closed_form(ts.utilization(CritLevel::HI),
                                   ts.utilization(CritLevel::LO), result.n_hi,
                                   result.n_lo, result.n_hi,
-                                  mcs::AdaptationKind::kNone,
+                                  AdaptationKind::kNone,
                                   cfg.adaptation.degradation_factor);
     result.converted =
         convert_to_mc(ts, result.n_hi, result.n_lo, result.n_hi);

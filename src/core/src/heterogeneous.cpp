@@ -6,23 +6,23 @@
 namespace ftmc::core {
 
 double adaptation_budget(double u_lo_lo, double u_hi_hi,
-                         mcs::AdaptationKind kind, double df) {
+                         AdaptationKind kind, double df) {
   FTMC_EXPECTS(u_lo_lo >= 0.0 && u_hi_hi >= 0.0,
                "utilizations must be non-negative");
-  FTMC_EXPECTS(kind != mcs::AdaptationKind::kNone,
+  FTMC_EXPECTS(kind != AdaptationKind::kNone,
                "no adaptation budget without a mode switch");
   if (u_lo_lo >= 1.0) return -1.0;
   const double lo_branch = 1.0 - u_lo_lo;  // from U_HI^LO + U_LO^LO <= 1
 
   double hi_branch = 0.0;
   switch (kind) {
-    case mcs::AdaptationKind::kKilling:
+    case AdaptationKind::kKilling:
       // U_HI^HI + U_HI^LO/(1-U_LO^LO) * U_LO^LO <= 1.
       hi_branch = (u_lo_lo == 0.0)
                       ? std::numeric_limits<double>::infinity()
                       : (1.0 - u_hi_hi) * (1.0 - u_lo_lo) / u_lo_lo;
       break;
-    case mcs::AdaptationKind::kDegradation: {
+    case AdaptationKind::kDegradation: {
       // U_HI^HI / (1 - lambda) + U_LO^LO/(df-1) <= 1, lambda =
       // U_HI^LO / (1 - U_LO^LO).
       FTMC_EXPECTS(df > 1.0, "degradation factor must exceed 1");
@@ -32,7 +32,7 @@ double adaptation_budget(double u_lo_lo, double u_hi_hi,
       hi_branch = lambda_max * (1.0 - u_lo_lo);
       break;
     }
-    case mcs::AdaptationKind::kNone:
+    case AdaptationKind::kNone:
       break;  // excluded by the precondition
   }
   return std::min(lo_branch, hi_branch);
@@ -57,15 +57,15 @@ HeterogeneousResult optimize_adaptation_profiles(
   const PerTaskProfile n = uniform_profile(ts, n_hi, n_lo);
   const auto evaluate = [&](const PerTaskProfile& n_adapt) {
     switch (model.kind) {
-      case mcs::AdaptationKind::kKilling: {
+      case AdaptationKind::kKilling: {
         KillingBoundOptions opt;
         opt.os_hours = model.os_hours;
         opt.exec = exec;
         return pfh_lo_killing(ts, n, n_adapt, opt);
       }
-      case mcs::AdaptationKind::kDegradation:
+      case AdaptationKind::kDegradation:
         return pfh_lo_degradation(ts, n, n_adapt, model.os_hours, exec);
-      case mcs::AdaptationKind::kNone:
+      case AdaptationKind::kNone:
         return pfh_plain(ts, n, CritLevel::LO, exec);
     }
     FTMC_ENSURES(false, "unreachable adaptation kind");

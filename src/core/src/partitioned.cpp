@@ -25,11 +25,11 @@ namespace {
 mcs::SchedulabilityTestPtr core_test(const FtsConfig& cfg) {
   if (cfg.test) return cfg.test;
   switch (cfg.adaptation.kind) {
-    case mcs::AdaptationKind::kNone:
+    case AdaptationKind::kNone:
       return std::make_shared<const mcs::EdfWorstCaseTest>();
-    case mcs::AdaptationKind::kKilling:
+    case AdaptationKind::kKilling:
       return std::make_shared<const mcs::EdfVdTest>();
-    case mcs::AdaptationKind::kDegradation:
+    case AdaptationKind::kDegradation:
       return std::make_shared<const mcs::EdfVdDegradationTest>(
           cfg.adaptation.degradation_factor);
   }
@@ -60,7 +60,7 @@ FtsResult schedule_core(const FtTaskSet& core_tasks, int n_hi, int n_lo,
   }
   const bool closed_form = cfg.use_closed_form_umc &&
                            core_tasks.all_implicit_deadlines() &&
-                           cfg.adaptation.kind != mcs::AdaptationKind::kNone;
+                           cfg.adaptation.kind != AdaptationKind::kNone;
   const double u_hi = core_tasks.utilization(CritLevel::HI);
   const double u_lo = core_tasks.utilization(CritLevel::LO);
   for (int n = n_hi; n >= 0; --n) {

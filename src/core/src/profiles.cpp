@@ -41,16 +41,16 @@ double pfh_lo_under_adaptation(const FtTaskSet& ts, int n_hi, int n_lo,
     n_adapt[i] = hi ? n_adapt_hi : 0;
   }
   switch (model.kind) {
-    case mcs::AdaptationKind::kNone:
+    case AdaptationKind::kNone:
       return pfh_plain(ts, n, CritLevel::LO, exec);
-    case mcs::AdaptationKind::kKilling: {
+    case AdaptationKind::kKilling: {
       KillingBoundOptions opt;
       opt.os_hours = model.os_hours;
       opt.exec = exec;
       opt.early_exit_above = early_exit_above;
       return pfh_lo_killing(ts, n, n_adapt, opt);
     }
-    case mcs::AdaptationKind::kDegradation:
+    case AdaptationKind::kDegradation:
       return pfh_lo_degradation(ts, n, n_adapt, model.os_hours, exec);
   }
   FTMC_ENSURES(false, "unreachable adaptation kind");

@@ -23,11 +23,11 @@ void hrule(std::ostringstream& os) {
   os << "------------------------------------------------------------\n";
 }
 
-const char* kind_name(mcs::AdaptationKind kind) {
+const char* kind_name(AdaptationKind kind) {
   switch (kind) {
-    case mcs::AdaptationKind::kNone: return "none";
-    case mcs::AdaptationKind::kKilling: return "task killing";
-    case mcs::AdaptationKind::kDegradation: return "service degradation";
+    case AdaptationKind::kNone: return "none";
+    case AdaptationKind::kKilling: return "task killing";
+    case AdaptationKind::kDegradation: return "service degradation";
   }
   return "?";
 }
@@ -49,7 +49,7 @@ std::string certification_report(const FtTaskSet& ts,
   os << "mapping         : HI=" << to_string(ts.mapping().hi)
      << " LO=" << to_string(ts.mapping().lo) << "\n";
   os << "adaptation      : " << kind_name(config.adaptation.kind);
-  if (config.adaptation.kind == mcs::AdaptationKind::kDegradation) {
+  if (config.adaptation.kind == AdaptationKind::kDegradation) {
     os << " (d_f = " << num(config.adaptation.degradation_factor) << ")";
   }
   os << "\n";

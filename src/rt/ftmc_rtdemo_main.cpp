@@ -135,17 +135,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return true;
 }
 
-std::vector<ftmc::sim::TraceEvent> to_sim_trace(
-    const std::vector<ftmc::rt::Event>& trace) {
-  std::vector<ftmc::sim::TraceEvent> out;
-  out.reserve(trace.size());
-  for (const ftmc::rt::Event& e : trace) {
-    out.push_back({e.time, static_cast<ftmc::sim::TraceKind>(e.kind), e.task,
-                   e.job, e.detail});
-  }
-  return out;
-}
-
 // SIGINT path: the handler may only call the async-signal-safe
 // request_stop(); set before the handler is installed.
 ftmc::rt::PosixHost* g_host = nullptr;
@@ -178,17 +167,17 @@ int main(int argc, char** argv) {
   const ftmc::mcs::EdfVdAnalysis vd = ftmc::mcs::analyze_edf_vd(mc);
   const double x = vd.schedulable ? vd.x : 1.0;
 
-  std::vector<rt::PosixTask> tasks = check::posix_tasks_from_sim(
-      sim::build_sim_tasks(fms_set, n_hi, n_lo, n_adapt, x));
-  for (rt::PosixTask& t : tasks) t.failure_prob = opt.fault_prob;
+  std::vector<rt::HostTask> tasks =
+      sim::build_sim_tasks(fms_set, n_hi, n_lo, n_adapt, x);
+  for (rt::HostTask& t : tasks) t.failure_prob = opt.fault_prob;
 
   rt::PosixHostConfig cfg;
-  cfg.core.policy = rt::Policy::kEdfVd;
+  cfg.core.policy = ftmc::PolicyKind::kEdfVd;
   if (opt.adaptation == "kill") {
-    cfg.core.adaptation = rt::Adaptation::kKilling;
+    cfg.core.adaptation = ftmc::AdaptationKind::kKilling;
     cfg.core.degradation_factor = 1.0;
   } else if (opt.adaptation == "degrade") {
-    cfg.core.adaptation = rt::Adaptation::kDegradation;
+    cfg.core.adaptation = ftmc::AdaptationKind::kDegradation;
     cfg.core.degradation_factor = opt.degradation_factor;
   } else {
     std::cerr << "unknown adaptation '" << opt.adaptation << "'\n";
@@ -199,11 +188,11 @@ int main(int argc, char** argv) {
   cfg.time_scale = opt.scale;
   cfg.seed = opt.seed;
   if (opt.faults == "none") {
-    cfg.fault_model = rt::PosixFaultModel::kNone;
+    cfg.fault_model = rt::FaultModel::kNone;
   } else if (opt.faults == "bernoulli") {
-    cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+    cfg.fault_model = rt::FaultModel::kBernoulli;
   } else if (opt.faults == "adversary") {
-    cfg.fault_model = rt::PosixFaultModel::kExhaustBudget;
+    cfg.fault_model = rt::FaultModel::kExhaustBudget;
   } else {
     std::cerr << "unknown fault model '" << opt.faults << "'\n";
     return 2;
@@ -239,7 +228,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> names;
   names.reserve(tasks.size());
-  for (const rt::PosixTask& t : tasks) names.push_back(t.name);
+  for (const rt::HostTask& t : tasks) names.push_back(t.name);
 
   if (!opt.quiet) {
     std::cout << "ftmc_rtdemo: FMS case study on the ftmc::rt core\n"
@@ -277,7 +266,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << opt.trace_out << "\n";
       return 1;
     }
-    sim::write_trace_csv(os, to_sim_trace(result.trace), names);
+    sim::write_trace_csv(os, result.trace, names);
   }
   if (!opt.chrome_out.empty()) {
     std::ofstream os(opt.chrome_out);
@@ -285,7 +274,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << opt.chrome_out << "\n";
       return 1;
     }
-    sim::write_trace_chrome_json(os, to_sim_trace(result.trace), names);
+    sim::write_trace_chrome_json(os, result.trace, names);
   }
   if (!opt.dump_blackbox.empty()) {
     std::ofstream os(opt.dump_blackbox);

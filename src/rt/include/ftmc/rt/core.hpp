@@ -36,8 +36,8 @@ namespace ftmc::rt {
 
 /// Policy configuration of the core.
 struct CoreConfig {
-  Policy policy = Policy::kEdfVd;
-  Adaptation adaptation = Adaptation::kKilling;
+  PolicyKind policy = PolicyKind::kEdfVd;
+  AdaptationKind adaptation = AdaptationKind::kKilling;
   /// d_f: stretch of LO periods and deadlines after the switch
   /// (kDegradation only; must be >= 1).
   double degradation_factor = 1.0;

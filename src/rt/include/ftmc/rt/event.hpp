@@ -14,8 +14,8 @@
 
 namespace ftmc::rt {
 
-/// What happened. Values and meanings mirror the simulator's TraceKind
-/// one-to-one so host traces stay interchangeable.
+/// What happened. Every host's trace is a sequence of these events, so
+/// traces from different hosts compare directly.
 enum class EventKind : std::uint8_t {
   kRelease,       ///< a job arrived
   kStart,         ///< a job (attempt) got the processor
@@ -45,6 +45,10 @@ struct Event {
   std::uint32_t detail = 0;
   Tick release = 0;
   Tick abs_deadline = 0;
+
+  /// Whole-event equality: replay compares every field, the job's
+  /// virtual-deadline bookkeeping (`release`, `abs_deadline`) included.
+  friend bool operator==(const Event&, const Event&) = default;
 };
 
 }  // namespace ftmc::rt

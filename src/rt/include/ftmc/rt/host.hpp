@@ -1,5 +1,6 @@
 /// \file host.hpp
-/// \brief The narrow interface between the runtime core and its host.
+/// \brief The narrow interface between the runtime core and its host,
+///        and the task and fault-model types every host shares.
 ///
 /// The core is passive: the host owns time (every core entry point takes
 /// `now`), arrival generation (the release event queue, timers, sporadic
@@ -17,11 +18,47 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "ftmc/rt/event.hpp"
 #include "ftmc/rt/types.hpp"
 
 namespace ftmc::rt {
+
+/// One task as every host sees it: the core-level parameters (so a
+/// HostTask goes straight into `Core::add_task`) plus the host-owned
+/// display name and fault/checkpoint model.
+struct HostTask : TaskParams {
+  std::string name;
+  double failure_prob = 0.0;  ///< f_i: per-attempt fault probability
+  /// Checkpointing (core::CheckpointScheme semantics): a job runs as
+  /// `segments` pieces of C/k each plus a checkpoint save of
+  /// `checkpoint_overhead * C` after each piece; a fault re-runs only the
+  /// current segment (see segment_wcet / segment_failure_prob).
+  double checkpoint_overhead = 0.0;
+};
+
+/// How a host decides whether a segment's sanity check fails.
+enum class FaultModel : std::uint8_t {
+  kNone,  ///< no faults ever (pure schedule demo)
+  /// i.i.d. per-attempt faults with probability f_i (the paper's fault
+  /// model), drawn from the host's seeded RNG.
+  kBernoulli,
+  /// Deterministic worst case: every job fails all but its last permitted
+  /// attempt and succeeds on the last one. Demand is maximal (a job
+  /// consumes its full re-execution budget n_i * C_i), the criticality
+  /// change of a HI job fires at the latest possible instant, and — unlike
+  /// f_i -> 1 — every job still completes, so deadline misses remain
+  /// observable. Used by ftmc::check to validate schedulability claims.
+  kExhaustBudget,
+};
+
+/// Stable dump names ("none", "bernoulli", "exhaust-budget") used by the
+/// black-box format; the inverse returns false on unknown names.
+[[nodiscard]] std::string_view to_string(FaultModel model);
+[[nodiscard]] bool fault_model_from_string(std::string_view name,
+                                           FaultModel& out);
 
 class Host {
  public:

@@ -29,28 +29,6 @@
 
 namespace ftmc::rt {
 
-/// One task as the POSIX host sees it: the core-level parameters plus the
-/// host-owned fault/checkpoint model and a display name.
-struct PosixTask {
-  TaskParams params;
-  double failure_prob = 0.0;        ///< per-attempt Bernoulli fault rate
-  double checkpoint_overhead = 0.0; ///< fraction of C per checkpoint save
-  std::string name;
-};
-
-/// How the host decides segment faults.
-enum class PosixFaultModel {
-  kNone,           ///< no faults ever (pure schedule demo)
-  kBernoulli,      ///< i.i.d. faults with probability f_i (seeded)
-  kExhaustBudget,  ///< deterministic worst-case adversary
-};
-
-/// Stable dump names ("none", "bernoulli", "exhaust-budget") used by the
-/// black-box format; the inverse returns false on unknown names.
-[[nodiscard]] std::string_view to_string(PosixFaultModel model);
-[[nodiscard]] bool fault_model_from_string(std::string_view name,
-                                           PosixFaultModel& out);
-
 struct PosixHostConfig {
   /// Core policy configuration. Defaults keep the no-alloc contract
   /// (allow_job_growth = false): a real-time host must not allocate on
@@ -61,7 +39,7 @@ struct PosixHostConfig {
   /// fast-forward, 0 = free-run without sleeping (CI smoke / replay).
   double time_scale = 0.0;
   std::uint64_t seed = 1;
-  PosixFaultModel fault_model = PosixFaultModel::kBernoulli;
+  FaultModel fault_model = FaultModel::kBernoulli;
   /// Keep at most this many events (0 disables tracing).
   std::size_t trace_capacity = 1 << 20;
 };
@@ -96,7 +74,7 @@ struct PosixResult {
 /// The POSIX host. Construct, run once, inspect the result.
 class PosixHost final : private Host {
  public:
-  PosixHost(std::vector<PosixTask> tasks, const PosixHostConfig& config);
+  PosixHost(std::vector<HostTask> tasks, const PosixHostConfig& config);
 
   /// Drives the core over [0, horizon). May be called once per instance.
   PosixResult run();
@@ -109,7 +87,7 @@ class PosixHost final : private Host {
     stop_.store(true, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] const std::vector<PosixTask>& tasks() const noexcept {
+  [[nodiscard]] const std::vector<HostTask>& tasks() const noexcept {
     return tasks_;
   }
 
@@ -136,7 +114,7 @@ class PosixHost final : private Host {
   void schedule_next_release(std::uint32_t task_index, Tick from);
   void pace_to(Tick t);
 
-  std::vector<PosixTask> tasks_;
+  std::vector<HostTask> tasks_;
   PosixHostConfig config_;
   std::mt19937_64 rng_;
   Core core_;

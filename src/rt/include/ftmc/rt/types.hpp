@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "ftmc/common/criticality.hpp"
+#include "ftmc/common/policy.hpp"
 #include "ftmc/common/time.hpp"
 
 namespace ftmc::rt {
@@ -20,28 +20,6 @@ namespace ftmc::rt {
 /// The core is tick-driven; a tick is the simulator's microsecond.
 using Tick = sim::Tick;
 using sim::kNever;
-
-/// Scheduling policy the core executes.
-enum class Policy : std::uint8_t {
-  kEdf,            ///< single-criticality EDF on true deadlines
-  kEdfVd,          ///< EDF-VD: virtual deadlines for HI jobs in LO mode
-  kFixedPriority,  ///< fixed priorities (smaller value = more important)
-};
-
-/// What the LO->HI criticality switch does to LO tasks.
-enum class Adaptation : std::uint8_t {
-  kNone,         ///< mode switch has no effect on LO tasks
-  kKilling,      ///< discard ready LO jobs, suppress future LO releases
-  kDegradation,  ///< stretch LO periods and deadlines by d_f
-};
-
-/// Stable dump names ("edf-vd", "killing", ...) used by the black-box
-/// format; inverses return false on unknown names.
-[[nodiscard]] std::string_view to_string(Policy policy);
-[[nodiscard]] std::string_view to_string(Adaptation adaptation);
-[[nodiscard]] bool policy_from_string(std::string_view name, Policy& out);
-[[nodiscard]] bool adaptation_from_string(std::string_view name,
-                                          Adaptation& out);
 
 /// Static parameters of one task as the runtime core sees it. All times in
 /// ticks. Names, failure probabilities and execution-time distributions are
@@ -72,9 +50,9 @@ struct Admission {
   const char* reason = nullptr;
 };
 
-/// Per-task runtime counters maintained by the core (the policy-level
-/// subset of the simulator's TaskStats; hosts add time-domain stats like
-/// busy time themselves).
+/// Per-task runtime counters maintained by the core. Every host reports
+/// these as its per-task statistics; time-domain stats like busy time are
+/// the host's own.
 struct TaskCounters {
   std::uint64_t released = 0;       ///< jobs that arrived
   std::uint64_t completed = 0;      ///< jobs that finished successfully
@@ -85,6 +63,19 @@ struct TaskCounters {
   std::uint64_t deadline_misses = 0;  ///< completions after the deadline
   Tick max_response = 0;    ///< worst observed response time (completions)
   Tick total_response = 0;  ///< sum of response times over completions
+
+  /// Mean observed response time of completed jobs (0 if none completed).
+  [[nodiscard]] double avg_response() const {
+    return completed > 0 ? static_cast<double>(total_response) /
+                               static_cast<double>(completed)
+                         : 0.0;
+  }
+  /// Temporal-domain failures in the paper's sense (Sec. 2.1): a job fails
+  /// if it "does not successfully finish by its deadline" — exhausted
+  /// attempts, killed, or completed late.
+  [[nodiscard]] std::uint64_t temporal_failures() const {
+    return job_failures + killed + deadline_misses;
+  }
 };
 
 /// Whole-core counters.

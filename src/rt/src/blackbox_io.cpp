@@ -48,7 +48,7 @@ void write_record(std::ostream& os, const BlackBoxRecord& r) {
 
 }  // namespace
 
-void write_blackbox_json(std::ostream& os, const std::vector<PosixTask>& tasks,
+void write_blackbox_json(std::ostream& os, const std::vector<HostTask>& tasks,
                          const PosixHostConfig& config,
                          const PosixResult& result) {
   os << "{\n  \"format\": \"ftmc-blackbox-v1\",\n  \"config\": {\n"
@@ -74,15 +74,14 @@ void write_blackbox_json(std::ostream& os, const std::vector<PosixTask>& tasks,
      << "    \"fault_model\": \"" << to_string(config.fault_model)
      << "\"\n  },\n  \"tasks\": [\n";
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const PosixTask& t = tasks[i];
-    const TaskParams& p = t.params;
-    os << "    {\"name\": " << quoted(t.name) << ", \"period\": " << p.period
-       << ", \"deadline\": " << p.deadline << ", \"wcet\": " << p.wcet
-       << ", \"virtual_deadline\": " << p.virtual_deadline << ", \"crit\": \""
-       << (p.crit == CritLevel::HI ? "HI" : "LO")
-       << "\", \"max_attempts\": " << p.max_attempts
-       << ", \"adapt_threshold\": " << p.adapt_threshold
-       << ", \"priority\": " << p.priority << ", \"segments\": " << p.segments
+    const HostTask& t = tasks[i];
+    os << "    {\"name\": " << quoted(t.name) << ", \"period\": " << t.period
+       << ", \"deadline\": " << t.deadline << ", \"wcet\": " << t.wcet
+       << ", \"virtual_deadline\": " << t.virtual_deadline << ", \"crit\": \""
+       << (t.crit == CritLevel::HI ? "HI" : "LO")
+       << "\", \"max_attempts\": " << t.max_attempts
+       << ", \"adapt_threshold\": " << t.adapt_threshold
+       << ", \"priority\": " << t.priority << ", \"segments\": " << t.segments
        << ", \"failure_prob\": " << number(t.failure_prob)
        << ", \"checkpoint_overhead\": " << number(t.checkpoint_overhead)
        << "}" << (i + 1 < tasks.size() ? "," : "") << "\n";

@@ -32,7 +32,7 @@ static_assert(static_cast<int>(RecordKind::kKill) ==
 
 Core::Core(const CoreConfig& config, Host& host)
     : config_(config), host_(host), black_box_(config.black_box_capacity) {
-  if (config_.adaptation == Adaptation::kDegradation) {
+  if (config_.adaptation == AdaptationKind::kDegradation) {
     FTMC_EXPECTS(config_.degradation_factor >= 1.0,
                  "degradation factor must be >= 1");
   }
@@ -86,7 +86,7 @@ Admission Core::admission_check(const TaskParams& candidate) const {
     const double budget =
         static_cast<double>(t.max_attempts) * static_cast<double>(t.wcet);
     const double lo_deadline =
-        (t.crit == CritLevel::HI && config_.policy == Policy::kEdfVd)
+        (t.crit == CritLevel::HI && config_.policy == PolicyKind::kEdfVd)
             ? static_cast<double>(t.virtual_deadline)
             : static_cast<double>(t.deadline);
     lo_density +=
@@ -96,9 +96,9 @@ Admission Core::admission_check(const TaskParams& candidate) const {
                  static_cast<double>(t.period));
     if (t.crit == CritLevel::HI) {
       hi_density += budget / hi_window;
-    } else if (config_.adaptation == Adaptation::kDegradation) {
+    } else if (config_.adaptation == AdaptationKind::kDegradation) {
       hi_density += budget / (config_.degradation_factor * hi_window);
-    } else if (config_.adaptation == Adaptation::kNone) {
+    } else if (config_.adaptation == AdaptationKind::kNone) {
       hi_density += budget / hi_window;
     }
     // kKilling: LO tasks place no demand in HI mode.
@@ -131,16 +131,16 @@ Tick Core::job_key(std::size_t slot) const {
   const Job& job = jobs_[slot];
   const TaskParams& task = tasks_[job.task];
   switch (config_.policy) {
-    case Policy::kEdf:
+    case PolicyKind::kEdf:
       return job.abs_deadline;
-    case Policy::kEdfVd:
+    case PolicyKind::kEdfVd:
       // Virtual deadlines for HI jobs while in LO mode; true deadlines
       // for everyone once the system has switched.
       if (task.crit == CritLevel::HI && mode_ == CritLevel::LO) {
         return job.release + task.virtual_deadline;
       }
       return job.abs_deadline;
-    case Policy::kFixedPriority:
+    case PolicyKind::kFixedPriority:
       return static_cast<Tick>(task.priority);
   }
   FTMC_ENSURES(false, "unreachable policy kind");
@@ -196,7 +196,7 @@ void Core::on_release(std::uint32_t task_index, Tick now) {
   // due d_f * D after release, not D.
   Tick relative_deadline = task.deadline;
   if (task.crit == CritLevel::LO && mode_ == CritLevel::HI &&
-      config_.adaptation == Adaptation::kDegradation) {
+      config_.adaptation == AdaptationKind::kDegradation) {
     relative_deadline = static_cast<Tick>(
         config_.degradation_factor * static_cast<double>(task.deadline));
   }
@@ -225,7 +225,7 @@ void Core::enter_hi_mode(Tick now) {
   }
   publish({now, EventKind::kModeSwitch, 0, 0, 0, 0, 0});
 
-  if (config_.adaptation == Adaptation::kKilling) {
+  if (config_.adaptation == AdaptationKind::kKilling) {
     // Discard all current LO jobs; the host suppresses future LO
     // releases in on_mode_change.
     for (auto it = ready_.begin(); it != ready_.end();) {
@@ -241,7 +241,7 @@ void Core::enter_hi_mode(Tick now) {
         ++it;
       }
     }
-  } else if (config_.adaptation == Adaptation::kDegradation) {
+  } else if (config_.adaptation == AdaptationKind::kDegradation) {
     // Already-released LO jobs keep running but adopt the degraded
     // implicit deadline (release + d_f * D): the mode switch relaxes both
     // their rate and their due date. The host stretches *pending* next
@@ -371,14 +371,14 @@ void Core::on_idle(Tick now) {
 double Core::current_period(std::uint32_t task) const {
   double period = static_cast<double>(tasks_[task].period);
   if (tasks_[task].crit == CritLevel::LO && mode_ == CritLevel::HI &&
-      config_.adaptation == Adaptation::kDegradation) {
+      config_.adaptation == AdaptationKind::kDegradation) {
     period *= config_.degradation_factor;
   }
   return period;
 }
 
 bool Core::release_allowed(std::uint32_t task) const {
-  return !(config_.adaptation == Adaptation::kKilling &&
+  return !(config_.adaptation == AdaptationKind::kKilling &&
            mode_ == CritLevel::HI &&
            tasks_[task].crit == CritLevel::LO);
 }

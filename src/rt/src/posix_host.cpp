@@ -18,28 +18,7 @@ std::int64_t monotonic_ns() {
 
 }  // namespace
 
-std::string_view to_string(PosixFaultModel model) {
-  switch (model) {
-    case PosixFaultModel::kNone: return "none";
-    case PosixFaultModel::kBernoulli: return "bernoulli";
-    case PosixFaultModel::kExhaustBudget: return "exhaust-budget";
-  }
-  return "unknown";
-}
-
-bool fault_model_from_string(std::string_view name, PosixFaultModel& out) {
-  for (const PosixFaultModel m :
-       {PosixFaultModel::kNone, PosixFaultModel::kBernoulli,
-        PosixFaultModel::kExhaustBudget}) {
-    if (name == to_string(m)) {
-      out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
-PosixHost::PosixHost(std::vector<PosixTask> tasks,
+PosixHost::PosixHost(std::vector<HostTask> tasks,
                      const PosixHostConfig& config)
     : tasks_(std::move(tasks)),
       config_(config),
@@ -48,12 +27,12 @@ PosixHost::PosixHost(std::vector<PosixTask> tasks,
   FTMC_EXPECTS(!tasks_.empty(), "posix host needs at least one task");
   FTMC_EXPECTS(config_.horizon > 0, "posix host horizon must be positive");
   FTMC_EXPECTS(config_.time_scale >= 0.0, "time scale must be non-negative");
-  for (const PosixTask& t : tasks_) {
+  for (const HostTask& t : tasks_) {
     FTMC_EXPECTS(t.failure_prob >= 0.0 && t.failure_prob < 1.0,
                  "task '" + t.name + "': failure probability out of range");
     FTMC_EXPECTS(t.checkpoint_overhead >= 0.0 && t.checkpoint_overhead < 1.0,
                  "task '" + t.name + "': checkpoint overhead out of range");
-    core_.add_task(t.params);  // structural validation + admission
+    core_.add_task(t);  // structural validation + admission
   }
   core_.start();
   next_release_.assign(tasks_.size(), 0);
@@ -67,19 +46,18 @@ PosixHost::PosixHost(std::vector<PosixTask> tasks,
 Tick PosixHost::sample_segment_time(std::uint32_t task) {
   // A real-time host has no execution-time oracle: it budgets the WCET of
   // one segment, exactly like the simulator's kAlwaysWcet model.
-  const PosixTask& t = tasks_[task];
-  return segment_wcet(t.params.wcet, t.params.segments,
-                      t.checkpoint_overhead);
+  const HostTask& t = tasks_[task];
+  return segment_wcet(t.wcet, t.segments, t.checkpoint_overhead);
 }
 
 bool PosixHost::sample_fault(std::uint32_t task, int faults_so_far) {
-  const PosixTask& t = tasks_[task];
+  const HostTask& t = tasks_[task];
   switch (config_.fault_model) {
-    case PosixFaultModel::kNone:
+    case FaultModel::kNone:
       return false;
-    case PosixFaultModel::kExhaustBudget:
-      return faults_so_far < t.params.max_attempts - 1;
-    case PosixFaultModel::kBernoulli:
+    case FaultModel::kExhaustBudget:
+      return faults_so_far < t.max_attempts - 1;
+    case FaultModel::kBernoulli:
       break;
   }
   // Same draw as the simulator host makes for this segment: with
@@ -87,7 +65,7 @@ bool PosixHost::sample_fault(std::uint32_t task, int faults_so_far) {
   // consumed in the same order, so a seed-matched sim run replays this
   // run's faults exactly.
   std::bernoulli_distribution fault(
-      segment_failure_prob(t.failure_prob, t.params.segments));
+      segment_failure_prob(t.failure_prob, t.segments));
   return fault(rng_);
 }
 
@@ -133,30 +111,27 @@ void PosixHost::schedule_next_release(std::uint32_t task_index, Tick from) {
 
 void PosixHost::on_mode_change(CritLevel mode, Tick now) {
   if (mode == CritLevel::HI) {
-    if (config_.core.adaptation == Adaptation::kKilling) {
+    if (config_.core.adaptation == AdaptationKind::kKilling) {
       for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-        if (tasks_[i].params.crit == CritLevel::LO) {
-          next_release_[i] = kNever;
-        }
+        if (tasks_[i].crit == CritLevel::LO) next_release_[i] = kNever;
       }
-    } else if (config_.core.adaptation == Adaptation::kDegradation) {
+    } else if (config_.core.adaptation == AdaptationKind::kDegradation) {
       for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-        const PosixTask& t = tasks_[i];
-        if (t.params.crit != CritLevel::LO || next_release_[i] == kNever) {
+        const HostTask& t = tasks_[i];
+        if (t.crit != CritLevel::LO || next_release_[i] == kNever) {
           continue;
         }
         push_release(i, next_release_[i] +
                             static_cast<Tick>(
                                 (config_.core.degradation_factor - 1.0) *
-                                static_cast<double>(t.params.period)));
+                                static_cast<double>(t.period)));
       }
     }
     return;
   }
-  if (config_.core.adaptation == Adaptation::kKilling) {
+  if (config_.core.adaptation == AdaptationKind::kKilling) {
     for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-      if (tasks_[i].params.crit == CritLevel::LO &&
-          next_release_[i] == kNever) {
+      if (tasks_[i].crit == CritLevel::LO && next_release_[i] == kNever) {
         push_release(i, now);
       }
     }

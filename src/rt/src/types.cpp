@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "ftmc/rt/event.hpp"
+#include "ftmc/rt/host.hpp"
 
 namespace ftmc::rt {
 
@@ -21,46 +22,6 @@ double segment_failure_prob(double failure_prob, int segments) {
                      static_cast<double>(segments));
 }
 
-std::string_view to_string(Policy policy) {
-  switch (policy) {
-    case Policy::kEdf: return "edf";
-    case Policy::kEdfVd: return "edf-vd";
-    case Policy::kFixedPriority: return "fixed-priority";
-  }
-  return "unknown";
-}
-
-std::string_view to_string(Adaptation adaptation) {
-  switch (adaptation) {
-    case Adaptation::kNone: return "none";
-    case Adaptation::kKilling: return "killing";
-    case Adaptation::kDegradation: return "degradation";
-  }
-  return "unknown";
-}
-
-bool policy_from_string(std::string_view name, Policy& out) {
-  for (const Policy p :
-       {Policy::kEdf, Policy::kEdfVd, Policy::kFixedPriority}) {
-    if (name == to_string(p)) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool adaptation_from_string(std::string_view name, Adaptation& out) {
-  for (const Adaptation a :
-       {Adaptation::kNone, Adaptation::kKilling, Adaptation::kDegradation}) {
-    if (name == to_string(a)) {
-      out = a;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string_view to_string(EventKind kind) {
   switch (kind) {
     case EventKind::kRelease: return "release";
@@ -75,6 +36,26 @@ std::string_view to_string(EventKind kind) {
     case EventKind::kKill: return "kill";
   }
   return "unknown";
+}
+
+std::string_view to_string(FaultModel model) {
+  switch (model) {
+    case FaultModel::kNone: return "none";
+    case FaultModel::kBernoulli: return "bernoulli";
+    case FaultModel::kExhaustBudget: return "exhaust-budget";
+  }
+  return "unknown";
+}
+
+bool fault_model_from_string(std::string_view name, FaultModel& out) {
+  for (const FaultModel m : {FaultModel::kNone, FaultModel::kBernoulli,
+                             FaultModel::kExhaustBudget}) {
+    if (name == to_string(m)) {
+      out = m;
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace ftmc::rt

@@ -24,7 +24,6 @@
 #include <optional>
 #include <random>
 
-#include "ftmc/mcs/schedulability.hpp"
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/rt/core.hpp"
 #include "ftmc/sim/model.hpp"
@@ -37,7 +36,7 @@ namespace ftmc::sim {
 struct SimConfig {
   PolicyKind policy = PolicyKind::kEdfVd;
   /// What the mode switch does to LO tasks.
-  mcs::AdaptationKind adaptation = mcs::AdaptationKind::kKilling;
+  AdaptationKind adaptation = AdaptationKind::kKilling;
   /// d_f: LO inter-arrival stretch after the switch (kDegradation only).
   double degradation_factor = 1.0;
   Tick horizon = kTicksPerHour;  ///< simulate [0, horizon)
@@ -58,10 +57,10 @@ struct SimConfig {
   ExecTimeModel exec_model = ExecTimeModel::kAlwaysWcet;
   double exec_min_fraction = 1.0;  ///< lower bound for kUniform
 
-  /// Fault model: random per-attempt faults, or the deterministic
+  /// Fault model: random per-attempt faults, none, or the deterministic
   /// worst-case adversary that consumes every job's full re-execution
-  /// budget (see FaultAdversary).
-  FaultAdversary fault_adversary = FaultAdversary::kBernoulli;
+  /// budget (see rt::FaultModel).
+  rt::FaultModel fault_adversary = rt::FaultModel::kBernoulli;
 
   /// Return to LO mode at the first processor-idle instant after a switch
   /// (a common MC runtime extension; off by default to match the paper's
@@ -89,16 +88,16 @@ struct SimConfig {
 /// inspect stats/trace.
 class Simulator : private rt::Host {
  public:
-  Simulator(std::vector<SimTask> tasks, SimConfig config);
+  Simulator(std::vector<rt::HostTask> tasks, SimConfig config);
 
   /// Runs the full horizon and returns the aggregated statistics.
   /// May be called once per instance.
   SimStats run();
 
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
+  [[nodiscard]] const std::vector<rt::Event>& trace() const noexcept {
     return trace_;
   }
-  [[nodiscard]] const std::vector<SimTask>& tasks() const noexcept {
+  [[nodiscard]] const std::vector<rt::HostTask>& tasks() const noexcept {
     return tasks_;
   }
 
@@ -140,20 +139,18 @@ class Simulator : private rt::Host {
 
   void schedule_next_release(std::uint32_t task_index, Tick from);
   void push_release(std::uint32_t task_index, Tick at);
-  void record_slow(Tick time, TraceKind kind, std::uint32_t task,
-                   std::uint64_t job, std::uint32_t detail);
+  void record_slow(const rt::Event& event);
   /// Hot-path event sink: a single byte test when neither tracing nor
   /// metrics are attached (the common case), everything else out of line.
-  void record(Tick time, TraceKind kind, std::uint32_t task,
-              std::uint64_t job, std::uint32_t detail = 0) {
-    if (record_flags_ != 0) record_slow(time, kind, task, job, detail);
+  void record(const rt::Event& event) {
+    if (record_flags_ != 0) record_slow(event);
   }
 
   /// Bits of record_flags_.
   static constexpr std::uint8_t kRecordTrace = 1;    ///< trace buffer on
   static constexpr std::uint8_t kRecordMetrics = 2;  ///< registry attached
 
-  std::vector<SimTask> tasks_;
+  std::vector<rt::HostTask> tasks_;
   SimConfig config_;
   std::mt19937_64 rng_;
 
@@ -174,7 +171,7 @@ class Simulator : private rt::Host {
   bool ran_ = false;
 
   SimStats stats_;
-  std::vector<TraceEvent> trace_;
+  std::vector<rt::Event> trace_;
 
   /// Registry handles, resolved once at construction (see
   /// SimConfig::registry). Engaged only when a registry is attached.

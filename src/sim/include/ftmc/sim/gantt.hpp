@@ -32,7 +32,7 @@ struct GanttOptions {
 /// Renders the trace restricted to [from, to). `task_names` indexes the
 /// simulator task list; unnamed tasks print as "task<i>".
 [[nodiscard]] std::string render_gantt(
-    const std::vector<TraceEvent>& trace,
+    const std::vector<rt::Event>& trace,
     const std::vector<std::string>& task_names, const GanttOptions& options);
 
 }  // namespace ftmc::sim

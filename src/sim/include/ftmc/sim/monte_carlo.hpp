@@ -76,7 +76,7 @@ struct MonteCarloResult {
 /// `options.threads` workers; the aggregate is bit-identical to the
 /// serial run for the same base seed (see docs/parallelism.md).
 [[nodiscard]] MonteCarloResult monte_carlo_campaign(
-    const std::vector<SimTask>& tasks, SimConfig config,
+    const std::vector<rt::HostTask>& tasks, SimConfig config,
     const MonteCarloOptions& options);
 
 }  // namespace ftmc::sim

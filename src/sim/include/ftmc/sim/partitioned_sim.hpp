@@ -26,7 +26,7 @@ struct PartitionedSimStats {
 /// maps each task to a core in [0, cores); tasks mapped to -1 are
 /// skipped (unassigned). Core c uses seed config.seed + c.
 [[nodiscard]] PartitionedSimStats simulate_partitioned(
-    const std::vector<SimTask>& tasks, const std::vector<int>& assignment,
+    const std::vector<rt::HostTask>& tasks, const std::vector<int>& assignment,
     int cores, const SimConfig& config);
 
 }  // namespace ftmc::sim

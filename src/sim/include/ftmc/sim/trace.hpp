@@ -1,45 +1,24 @@
 /// \file trace.hpp
-/// \brief Execution trace of the simulator (bounded, optional).
+/// \brief Exporters for host traces (`std::vector<rt::Event>`): CSV,
+///        Chrome trace JSON and a one-line printer.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "ftmc/common/time.hpp"
+#include "ftmc/rt/event.hpp"
+
+namespace ftmc::rt {
+
+/// One-line rendering of a trace event: "[time] kind task=.. job=.."
+/// plus " attempt=.." for kinds that carry one.
+std::ostream& operator<<(std::ostream& os, const Event& ev);
+
+}  // namespace ftmc::rt
 
 namespace ftmc::sim {
-
-/// What happened at a trace point.
-enum class TraceKind : std::uint8_t {
-  kRelease,      ///< a job arrived
-  kStart,        ///< a job (attempt) got the processor
-  kPreempt,      ///< the running job was preempted
-  kAttemptFail,  ///< an attempt finished but the sanity check failed
-  kComplete,     ///< a job finished successfully
-  kJobFail,      ///< all attempts of a job failed
-  kDeadlineMiss, ///< a job completed after its absolute deadline
-  kModeSwitch,   ///< the system entered HI mode
-  kModeReset,    ///< the system returned to LO mode (idle instant)
-  kKill,         ///< a LO job was discarded at the mode switch
-};
-
-[[nodiscard]] std::string_view to_string(TraceKind kind);
-
-/// One trace record. `task` indexes the simulator task list; `job` is the
-/// per-task job sequence number; `detail` is kind-specific (attempt number
-/// for kStart/kAttemptFail, 0 otherwise).
-struct TraceEvent {
-  Tick time = 0;
-  TraceKind kind = TraceKind::kRelease;
-  std::uint32_t task = 0;
-  std::uint64_t job = 0;
-  std::uint32_t detail = 0;
-};
-
-std::ostream& operator<<(std::ostream& os, const TraceEvent& ev);
 
 /// RFC-4180 CSV field quoting: fields containing commas, double quotes,
 /// or line breaks are wrapped in double quotes with embedded quotes
@@ -47,26 +26,26 @@ std::ostream& operator<<(std::ostream& os, const TraceEvent& ev);
 [[nodiscard]] std::string csv_escape(std::string_view field);
 
 /// Writes a trace as CSV (time_us,kind,task,task_name,job,detail) for
-/// external Gantt/timeline tooling. `task_names` indexes the simulator
+/// external Gantt/timeline tooling. `task_names` indexes the host's
 /// task list; pass {} to omit names. Task names are RFC-4180 quoted, so
 /// names containing commas/quotes/newlines round-trip.
-void write_trace_csv(std::ostream& os, const std::vector<TraceEvent>& trace,
+void write_trace_csv(std::ostream& os, const std::vector<rt::Event>& trace,
                      const std::vector<std::string>& task_names);
 
-/// Converts a simulator trace into Chrome trace-event JSON objects,
+/// Converts a trace into Chrome trace-event JSON objects,
 /// appended to `out` under process `pid`: one lane per task (execution
 /// spans from kStart to preempt/complete/fail/kill, instants for
 /// releases, attempt failures and deadline misses) plus a "system" lane
 /// carrying mode switches/resets. Begin/end events are balanced per lane.
 void append_trace_chrome_events(std::vector<std::string>& out,
-                                const std::vector<TraceEvent>& trace,
+                                const std::vector<rt::Event>& trace,
                                 const std::vector<std::string>& task_names,
                                 int pid = 1);
 
 /// One-call variant: writes a complete {"traceEvents":[...]} document
 /// loadable in Perfetto / chrome://tracing.
 void write_trace_chrome_json(std::ostream& os,
-                             const std::vector<TraceEvent>& trace,
+                             const std::vector<rt::Event>& trace,
                              const std::vector<std::string>& task_names);
 
 }  // namespace ftmc::sim

@@ -7,73 +7,11 @@
 
 namespace ftmc::sim {
 
-namespace {
-
-// The simulator's TraceKind and the core's EventKind mirror each other
-// one-to-one; the static_asserts pin the mapping the emit() cast relies on.
-static_assert(static_cast<int>(TraceKind::kRelease) ==
-              static_cast<int>(rt::EventKind::kRelease));
-static_assert(static_cast<int>(TraceKind::kStart) ==
-              static_cast<int>(rt::EventKind::kStart));
-static_assert(static_cast<int>(TraceKind::kPreempt) ==
-              static_cast<int>(rt::EventKind::kPreempt));
-static_assert(static_cast<int>(TraceKind::kAttemptFail) ==
-              static_cast<int>(rt::EventKind::kAttemptFail));
-static_assert(static_cast<int>(TraceKind::kComplete) ==
-              static_cast<int>(rt::EventKind::kComplete));
-static_assert(static_cast<int>(TraceKind::kJobFail) ==
-              static_cast<int>(rt::EventKind::kJobFail));
-static_assert(static_cast<int>(TraceKind::kDeadlineMiss) ==
-              static_cast<int>(rt::EventKind::kDeadlineMiss));
-static_assert(static_cast<int>(TraceKind::kModeSwitch) ==
-              static_cast<int>(rt::EventKind::kModeSwitch));
-static_assert(static_cast<int>(TraceKind::kModeReset) ==
-              static_cast<int>(rt::EventKind::kModeReset));
-static_assert(static_cast<int>(TraceKind::kKill) ==
-              static_cast<int>(rt::EventKind::kKill));
-
-rt::Policy to_rt(PolicyKind policy) {
-  switch (policy) {
-    case PolicyKind::kEdf: return rt::Policy::kEdf;
-    case PolicyKind::kEdfVd: return rt::Policy::kEdfVd;
-    case PolicyKind::kFixedPriority: return rt::Policy::kFixedPriority;
-  }
-  FTMC_ENSURES(false, "unreachable policy kind");
-  return rt::Policy::kEdf;
-}
-
-rt::Adaptation to_rt(mcs::AdaptationKind adaptation) {
-  switch (adaptation) {
-    case mcs::AdaptationKind::kNone: return rt::Adaptation::kNone;
-    case mcs::AdaptationKind::kKilling: return rt::Adaptation::kKilling;
-    case mcs::AdaptationKind::kDegradation:
-      return rt::Adaptation::kDegradation;
-  }
-  FTMC_ENSURES(false, "unreachable adaptation kind");
-  return rt::Adaptation::kNone;
-}
-
-rt::TaskParams to_params(const SimTask& task) {
-  rt::TaskParams p;
-  p.period = task.period;
-  p.deadline = task.deadline;
-  p.wcet = task.wcet;
-  p.virtual_deadline = task.virtual_deadline;
-  p.crit = task.crit;
-  p.max_attempts = task.max_attempts;
-  p.adapt_threshold = task.adapt_threshold;
-  p.priority = task.priority;
-  p.segments = task.segments;
-  return p;
-}
-
-}  // namespace
-
-Simulator::Simulator(std::vector<SimTask> tasks, SimConfig config)
+Simulator::Simulator(std::vector<rt::HostTask> tasks, SimConfig config)
     : tasks_(std::move(tasks)), config_(config), rng_(config.seed) {
   FTMC_EXPECTS(!tasks_.empty(), "simulator needs at least one task");
   FTMC_EXPECTS(config_.horizon > 0, "simulation horizon must be positive");
-  for (const SimTask& t : tasks_) {
+  for (const rt::HostTask& t : tasks_) {
     FTMC_EXPECTS(t.period > 0 && t.deadline > 0 && t.wcet > 0,
                  "task '" + t.name + "': malformed timing parameters");
     FTMC_EXPECTS(t.max_attempts >= 1,
@@ -87,7 +25,7 @@ Simulator::Simulator(std::vector<SimTask> tasks, SimConfig config)
     FTMC_EXPECTS(t.checkpoint_overhead >= 0.0 && t.checkpoint_overhead < 1.0,
                  "task '" + t.name + "': checkpoint overhead out of range");
   }
-  if (config_.adaptation == mcs::AdaptationKind::kDegradation) {
+  if (config_.adaptation == AdaptationKind::kDegradation) {
     FTMC_EXPECTS(config_.degradation_factor >= 1.0,
                  "degradation factor must be >= 1");
   }
@@ -108,15 +46,15 @@ Simulator::Simulator(std::vector<SimTask> tasks, SimConfig config)
   // simulator prefers completing the run over enforcing the embedded
   // no-alloc contract.
   rt::CoreConfig core_config;
-  core_config.policy = to_rt(config_.policy);
-  core_config.adaptation = to_rt(config_.adaptation);
+  core_config.policy = config_.policy;
+  core_config.adaptation = config_.adaptation;
   core_config.degradation_factor = config_.degradation_factor;
   core_config.mode_reset_on_idle = config_.mode_reset_on_idle;
   core_config.max_jobs = 64;
   core_config.allow_job_growth = true;
   core_config.black_box_capacity = config_.black_box_capacity;
   core_.emplace(core_config, static_cast<rt::Host&>(*this));
-  for (const SimTask& t : tasks_) core_->add_task(to_params(t));
+  for (const rt::HostTask& t : tasks_) core_->add_task(t);
   core_->start();
 
   if (config_.registry != nullptr) {
@@ -149,48 +87,56 @@ Simulator::Simulator(std::vector<SimTask> tasks, SimConfig config)
 // engine.hpp), so a run with neither tracing nor metrics attached pays
 // nothing measurable per event.
 __attribute__((noinline, cold)) void Simulator::record_slow(
-    Tick time, TraceKind kind, std::uint32_t task, std::uint64_t job,
-    std::uint32_t detail) {
+    const rt::Event& event) {
   if ((record_flags_ & kRecordMetrics) != 0) {
     // Metrics piggyback on the trace-event stream but don't need (or
     // grow) the trace buffer.
-    switch (kind) {
-      case TraceKind::kRelease: metrics_->releases.inc(); break;
-      case TraceKind::kStart: metrics_->dispatches.inc(); break;
-      case TraceKind::kPreempt: metrics_->preemptions.inc(); break;
-      case TraceKind::kAttemptFail: metrics_->reexecutions.inc(); break;
-      case TraceKind::kComplete: metrics_->completions.inc(); break;
-      case TraceKind::kJobFail: metrics_->job_failures.inc(); break;
-      case TraceKind::kDeadlineMiss:
+    switch (event.kind) {
+      case rt::EventKind::kRelease: metrics_->releases.inc(); break;
+      case rt::EventKind::kStart: metrics_->dispatches.inc(); break;
+      case rt::EventKind::kPreempt: metrics_->preemptions.inc(); break;
+      case rt::EventKind::kAttemptFail: metrics_->reexecutions.inc(); break;
+      case rt::EventKind::kComplete: metrics_->completions.inc(); break;
+      case rt::EventKind::kJobFail: metrics_->job_failures.inc(); break;
+      case rt::EventKind::kDeadlineMiss:
         metrics_->deadline_misses.inc();
         break;
-      case TraceKind::kModeSwitch: metrics_->mode_switches.inc(); break;
-      case TraceKind::kModeReset: metrics_->mode_resets.inc(); break;
-      case TraceKind::kKill: metrics_->kills.inc(); break;
+      case rt::EventKind::kModeSwitch: metrics_->mode_switches.inc(); break;
+      case rt::EventKind::kModeReset: metrics_->mode_resets.inc(); break;
+      case rt::EventKind::kKill: metrics_->kills.inc(); break;
     }
   }
   if ((record_flags_ & kRecordTrace) != 0 &&
       trace_.size() < config_.trace_capacity) {
-    trace_.push_back({time, kind, task, job, detail});
+    trace_.push_back(event);
   }
 }
 
 Tick Simulator::sample_segment_time(std::uint32_t task) {
-  const Tick nominal = tasks_[task].segment_wcet();
+  const rt::HostTask& t = tasks_[task];
+  const Tick nominal =
+      rt::segment_wcet(t.wcet, t.segments, t.checkpoint_overhead);
   if (config_.exec_model == ExecTimeModel::kAlwaysWcet) return nominal;
   std::uniform_real_distribution<double> dist(config_.exec_min_fraction, 1.0);
-  const Tick t = static_cast<Tick>(dist(rng_) *
-                                   static_cast<double>(nominal));
-  return std::max<Tick>(t, 1);
+  const Tick sampled = static_cast<Tick>(dist(rng_) *
+                                         static_cast<double>(nominal));
+  return std::max<Tick>(sampled, 1);
 }
 
 bool Simulator::sample_fault(std::uint32_t task, int faults_so_far) {
-  if (config_.fault_adversary == FaultAdversary::kExhaustBudget) {
-    // Worst-case adversary: fail every segment execution while the job
-    // still has retry budget left, succeed on the last permitted one.
-    return faults_so_far < tasks_[task].max_attempts - 1;
+  const rt::HostTask& t = tasks_[task];
+  switch (config_.fault_adversary) {
+    case rt::FaultModel::kNone:
+      return false;
+    case rt::FaultModel::kExhaustBudget:
+      // Worst-case adversary: fail every segment execution while the job
+      // still has retry budget left, succeed on the last permitted one.
+      return faults_so_far < t.max_attempts - 1;
+    case rt::FaultModel::kBernoulli:
+      break;
   }
-  std::bernoulli_distribution fault(tasks_[task].segment_failure_prob());
+  std::bernoulli_distribution fault(
+      rt::segment_failure_prob(t.failure_prob, t.segments));
   return fault(rng_);
 }
 
@@ -199,8 +145,7 @@ void Simulator::emit(const rt::Event& event) {
     metrics_->response_us[event.task].observe(
         static_cast<double>(event.time - event.release));
   }
-  record(event.time, static_cast<TraceKind>(event.kind), event.task,
-         event.job, event.detail);
+  record(event);
 }
 
 void Simulator::push_release(std::uint32_t task_index, Tick at) {
@@ -217,16 +162,16 @@ void Simulator::push_release(std::uint32_t task_index, Tick at) {
 
 void Simulator::on_mode_change(CritLevel mode, Tick now) {
   if (mode == CritLevel::HI) {
-    if (config_.adaptation == mcs::AdaptationKind::kKilling) {
+    if (config_.adaptation == AdaptationKind::kKilling) {
       // Suppress future LO releases.
       for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
         if (tasks_[i].crit == CritLevel::LO) next_release_[i] = kNever;
       }
-    } else if (config_.adaptation == mcs::AdaptationKind::kDegradation) {
+    } else if (config_.adaptation == AdaptationKind::kDegradation) {
       // Pending next releases are pushed out so that the inter-arrival
       // from the *previous* release grows to d_f * T.
       for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-        const SimTask& task = tasks_[i];
+        const rt::HostTask& task = tasks_[i];
         if (task.crit != CritLevel::LO || next_release_[i] == kNever) {
           continue;
         }
@@ -239,7 +184,7 @@ void Simulator::on_mode_change(CritLevel mode, Tick now) {
     return;
   }
   // HI -> LO reset at an idle instant.
-  if (config_.adaptation == mcs::AdaptationKind::kKilling) {
+  if (config_.adaptation == AdaptationKind::kKilling) {
     // Re-admit LO tasks from this idle instant on.
     for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
       if (tasks_[i].crit == CritLevel::LO && next_release_[i] == kNever) {
@@ -337,17 +282,7 @@ SimStats Simulator::run() {
   stats_.mode_resets = cc.mode_resets;
   stats_.first_mode_switch = cc.first_mode_switch;
   for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-    const rt::TaskCounters& tc = core.task_counters(i);
-    TaskStats& ts = stats_.per_task[i];
-    ts.released = tc.released;
-    ts.completed = tc.completed;
-    ts.attempts = tc.attempts;
-    ts.faults = tc.faults;
-    ts.job_failures = tc.job_failures;
-    ts.killed = tc.killed;
-    ts.deadline_misses = tc.deadline_misses;
-    ts.max_response = tc.max_response;
-    ts.total_response = tc.total_response;
+    stats_.per_task[i] = core.task_counters(i);
   }
   return stats_;
 }

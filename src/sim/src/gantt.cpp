@@ -12,7 +12,7 @@ constexpr std::uint32_t kNoOwner = UINT32_MAX;
 
 }  // namespace
 
-std::string render_gantt(const std::vector<TraceEvent>& trace,
+std::string render_gantt(const std::vector<rt::Event>& trace,
                          const std::vector<std::string>& task_names,
                          const GanttOptions& options) {
   FTMC_EXPECTS(options.to > options.from,
@@ -21,7 +21,7 @@ std::string render_gantt(const std::vector<TraceEvent>& trace,
 
   // Determine the task count from names and the trace.
   std::size_t tasks = task_names.size();
-  for (const TraceEvent& ev : trace) {
+  for (const rt::Event& ev : trace) {
     tasks = std::max<std::size_t>(tasks, ev.task + 1);
   }
   if (tasks == 0) return "(empty trace)\n";
@@ -51,34 +51,34 @@ std::string render_gantt(const std::vector<TraceEvent>& trace,
 
   bool hi_mode = false;
   Tick hi_since = 0;
-  for (const TraceEvent& ev : trace) {
+  for (const rt::Event& ev : trace) {
     if (ev.time >= options.to) break;
     switch (ev.kind) {
-      case TraceKind::kStart:
+      case rt::EventKind::kStart:
         close_interval(ev.time);
         owner = ev.task;
         owner_since = ev.time;
         break;
-      case TraceKind::kComplete:
-      case TraceKind::kJobFail:
+      case rt::EventKind::kComplete:
+      case rt::EventKind::kJobFail:
         if (owner == ev.task) {
           close_interval(ev.time);
           owner = kNoOwner;
         }
         break;
-      case TraceKind::kKill:
+      case rt::EventKind::kKill:
         if (ev.time >= options.from) {
           rows[ev.task][column(ev.time)] = 'X';
         }
         break;
-      case TraceKind::kModeSwitch:
+      case rt::EventKind::kModeSwitch:
         if (ev.time >= options.from) {
           mode_row[column(ev.time)] = '!';
         }
         hi_mode = true;
         hi_since = ev.time;
         break;
-      case TraceKind::kModeReset: {
+      case rt::EventKind::kModeReset: {
         const Tick lo = std::max(hi_since, options.from);
         if (hi_mode && ev.time > lo) {
           for (int c = column(lo); c <= column(ev.time - 1); ++c) {

@@ -1,28 +1,16 @@
 #include "ftmc/sim/model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "ftmc/common/contracts.hpp"
-#include "ftmc/rt/types.hpp"
 
 namespace ftmc::sim {
 
-// Both delegate to the ftmc::rt helpers: segment accounting must be
-// bit-identical across every host of the runtime core.
-double SimTask::segment_failure_prob() const {
-  return rt::segment_failure_prob(failure_prob, segments);
-}
-
-Tick SimTask::segment_wcet() const {
-  return rt::segment_wcet(wcet, segments, checkpoint_overhead);
-}
-
-std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts,
-                                     const core::PerTaskProfile& n,
-                                     const core::PerTaskProfile& n_adapt,
-                                     double virtual_deadline_factor) {
+std::vector<rt::HostTask> build_sim_tasks(const core::FtTaskSet& ts,
+                                          const core::PerTaskProfile& n,
+                                          const core::PerTaskProfile& n_adapt,
+                                          double virtual_deadline_factor) {
   ts.validate();
   FTMC_EXPECTS(n.size() == ts.size() && n_adapt.size() == ts.size(),
                "profile sizes must match task set");
@@ -30,12 +18,12 @@ std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts,
                    virtual_deadline_factor <= 1.0,
                "virtual deadline factor must lie in (0, 1]");
 
-  std::vector<SimTask> out;
+  std::vector<rt::HostTask> out;
   out.reserve(ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const core::FtTask& src = ts[i];
     FTMC_EXPECTS(n[i] >= 1, "re-execution profile must be at least 1");
-    SimTask dst;
+    rt::HostTask dst;
     dst.name = src.name;
     dst.period = millis_to_ticks(src.period);
     dst.deadline = millis_to_ticks(src.deadline);
@@ -67,9 +55,9 @@ std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts,
   return out;
 }
 
-std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts, int n_hi,
-                                     int n_lo, int n_adapt_hi,
-                                     double virtual_deadline_factor) {
+std::vector<rt::HostTask> build_sim_tasks(const core::FtTaskSet& ts,
+                                          int n_hi, int n_lo, int n_adapt_hi,
+                                          double virtual_deadline_factor) {
   return build_sim_tasks(ts, core::uniform_profile(ts, n_hi, n_lo),
                          core::uniform_profile(ts, n_adapt_hi, 0),
                          virtual_deadline_factor);

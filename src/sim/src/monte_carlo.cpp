@@ -41,7 +41,7 @@ void merge(CampaignShard& into, const CampaignShard& from) {
   into.simulated_hours += from.simulated_hours;
 }
 
-CampaignShard run_mission(const std::vector<SimTask>& tasks,
+CampaignShard run_mission(const std::vector<rt::HostTask>& tasks,
                           SimConfig config, std::uint64_t base_seed,
                           std::size_t mission) {
   config.seed = exec::derive_seed(base_seed, mission);
@@ -53,7 +53,7 @@ CampaignShard run_mission(const std::vector<SimTask>& tasks,
   if (stats.mode_switches > 0) ++shard.trigger.successes;
 
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const TaskStats& t = stats.per_task[i];
+    const rt::TaskCounters& t = stats.per_task[i];
     const bool hi = tasks[i].crit == CritLevel::HI;
     BinomialEstimate& jobs =
         hi ? shard.job_failure_hi : shard.job_failure_lo;
@@ -81,7 +81,7 @@ double BinomialEstimate::wilson_upper(double z) const {
   return std::min(1.0, wilson_center(p, n, z) + wilson_halfwidth(p, n, z));
 }
 
-MonteCarloResult monte_carlo_campaign(const std::vector<SimTask>& tasks,
+MonteCarloResult monte_carlo_campaign(const std::vector<rt::HostTask>& tasks,
                                       SimConfig config,
                                       const MonteCarloOptions& options) {
   FTMC_EXPECTS(options.missions > 0, "need at least one mission");

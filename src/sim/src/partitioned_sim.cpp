@@ -4,9 +4,9 @@
 
 namespace ftmc::sim {
 
-PartitionedSimStats simulate_partitioned(const std::vector<SimTask>& tasks,
-                                         const std::vector<int>& assignment,
-                                         int cores, const SimConfig& config) {
+PartitionedSimStats simulate_partitioned(
+    const std::vector<rt::HostTask>& tasks, const std::vector<int>& assignment,
+    int cores, const SimConfig& config) {
   FTMC_EXPECTS(cores >= 1, "need at least one core");
   FTMC_EXPECTS(assignment.size() == tasks.size(),
                "one core assignment per task required");
@@ -18,7 +18,7 @@ PartitionedSimStats simulate_partitioned(const std::vector<SimTask>& tasks,
   std::uint64_t failures_lo = 0;
   double hours = 0.0;
   for (int c = 0; c < cores; ++c) {
-    std::vector<SimTask> core_tasks;
+    std::vector<rt::HostTask> core_tasks;
     std::vector<std::size_t> origin;  // core-local -> global index
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       FTMC_EXPECTS(assignment[i] < cores,
@@ -40,7 +40,7 @@ PartitionedSimStats simulate_partitioned(const std::vector<SimTask>& tasks,
     SimStats stats = sim.run();
     out.total_mode_switches += stats.mode_switches;
     for (std::size_t local = 0; local < core_tasks.size(); ++local) {
-      const TaskStats& t = stats.per_task[local];
+      const rt::TaskCounters& t = stats.per_task[local];
       (core_tasks[local].crit == CritLevel::HI ? failures_hi
                                                : failures_lo) +=
           t.temporal_failures();

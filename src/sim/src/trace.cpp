@@ -5,30 +5,18 @@
 
 #include "ftmc/obs/chrome_trace.hpp"
 
-namespace ftmc::sim {
+namespace ftmc::rt {
 
-std::string_view to_string(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::kRelease: return "release";
-    case TraceKind::kStart: return "start";
-    case TraceKind::kPreempt: return "preempt";
-    case TraceKind::kAttemptFail: return "attempt-fail";
-    case TraceKind::kComplete: return "complete";
-    case TraceKind::kJobFail: return "job-fail";
-    case TraceKind::kDeadlineMiss: return "deadline-miss";
-    case TraceKind::kModeSwitch: return "mode-switch";
-    case TraceKind::kModeReset: return "mode-reset";
-    case TraceKind::kKill: return "kill";
-  }
-  return "?";
-}
-
-std::ostream& operator<<(std::ostream& os, const TraceEvent& ev) {
+std::ostream& operator<<(std::ostream& os, const Event& ev) {
   os << "[" << ev.time << "] " << to_string(ev.kind) << " task=" << ev.task
      << " job=" << ev.job;
   if (ev.detail != 0) os << " attempt=" << ev.detail;
   return os;
 }
+
+}  // namespace ftmc::rt
+
+namespace ftmc::sim {
 
 std::string csv_escape(std::string_view field) {
   if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
@@ -45,11 +33,11 @@ std::string csv_escape(std::string_view field) {
   return out;
 }
 
-void write_trace_csv(std::ostream& os, const std::vector<TraceEvent>& trace,
+void write_trace_csv(std::ostream& os, const std::vector<rt::Event>& trace,
                      const std::vector<std::string>& task_names) {
   os << "time_us,kind,task,task_name,job,detail\n";
-  for (const TraceEvent& ev : trace) {
-    os << ev.time << "," << to_string(ev.kind) << "," << ev.task << ","
+  for (const rt::Event& ev : trace) {
+    os << ev.time << "," << rt::to_string(ev.kind) << "," << ev.task << ","
        << (ev.task < task_names.size() ? csv_escape(task_names[ev.task])
                                        : "")
        << "," << ev.job << "," << ev.detail << "\n";
@@ -66,7 +54,7 @@ std::string task_lane_name(const std::vector<std::string>& task_names,
   return "task" + std::to_string(task);
 }
 
-std::string job_args(const TraceEvent& ev) {
+std::string job_args(const rt::Event& ev) {
   std::string args = "{\"job\":" + std::to_string(ev.job);
   if (ev.detail != 0) args += ",\"attempt\":" + std::to_string(ev.detail);
   args += "}";
@@ -76,7 +64,7 @@ std::string job_args(const TraceEvent& ev) {
 }  // namespace
 
 void append_trace_chrome_events(std::vector<std::string>& out,
-                                const std::vector<TraceEvent>& trace,
+                                const std::vector<rt::Event>& trace,
                                 const std::vector<std::string>& task_names,
                                 int pid) {
   namespace chrome = obs::chrome;
@@ -84,7 +72,7 @@ void append_trace_chrome_events(std::vector<std::string>& out,
   out.push_back(chrome::process_name(pid, "ftmc simulator"));
   out.push_back(chrome::thread_name(pid, 0, "system"));
   std::uint32_t max_task = 0;
-  for (const TraceEvent& ev : trace) max_task = std::max(max_task, ev.task);
+  for (const rt::Event& ev : trace) max_task = std::max(max_task, ev.task);
   for (std::uint32_t t = 0; t <= max_task; ++t) {
     out.push_back(
         chrome::thread_name(pid, static_cast<int>(t) + 1,
@@ -104,47 +92,47 @@ void append_trace_chrome_events(std::vector<std::string>& out,
     open[task] = kNever;
   };
 
-  for (const TraceEvent& ev : trace) {
+  for (const rt::Event& ev : trace) {
     const double ts = static_cast<double>(ev.time);
     last_time = std::max(last_time, ev.time);
     switch (ev.kind) {
-      case TraceKind::kStart:
+      case rt::EventKind::kStart:
         close_span(ev.task, ev.time);  // re-dispatch of the same lane
         out.push_back(chrome::duration_begin("run", pid, tid_of(ev.task),
                                              ts, job_args(ev)));
         open[ev.task] = ev.time;
         break;
-      case TraceKind::kPreempt:
-      case TraceKind::kComplete:
-      case TraceKind::kJobFail:
-        if (ev.kind != TraceKind::kPreempt) {
+      case rt::EventKind::kPreempt:
+      case rt::EventKind::kComplete:
+      case rt::EventKind::kJobFail:
+        if (ev.kind != rt::EventKind::kPreempt) {
           out.push_back(chrome::instant(
-              ev.kind == TraceKind::kComplete ? "complete" : "job-fail",
+              ev.kind == rt::EventKind::kComplete ? "complete" : "job-fail",
               pid, tid_of(ev.task), ts, job_args(ev)));
         }
         close_span(ev.task, ev.time);
         break;
-      case TraceKind::kKill:
+      case rt::EventKind::kKill:
         out.push_back(chrome::instant("kill", pid, tid_of(ev.task), ts,
                                       job_args(ev)));
         close_span(ev.task, ev.time);
         break;
-      case TraceKind::kRelease:
+      case rt::EventKind::kRelease:
         out.push_back(chrome::instant("release", pid, tid_of(ev.task), ts,
                                       job_args(ev)));
         break;
-      case TraceKind::kAttemptFail:
+      case rt::EventKind::kAttemptFail:
         out.push_back(chrome::instant("attempt-fail", pid, tid_of(ev.task),
                                       ts, job_args(ev)));
         break;
-      case TraceKind::kDeadlineMiss:
+      case rt::EventKind::kDeadlineMiss:
         out.push_back(chrome::instant("deadline-miss", pid,
                                       tid_of(ev.task), ts, job_args(ev)));
         break;
-      case TraceKind::kModeSwitch:
+      case rt::EventKind::kModeSwitch:
         out.push_back(chrome::instant("mode-switch -> HI", pid, 0, ts));
         break;
-      case TraceKind::kModeReset:
+      case rt::EventKind::kModeReset:
         out.push_back(chrome::instant("mode-reset -> LO", pid, 0, ts));
         break;
     }
@@ -154,7 +142,7 @@ void append_trace_chrome_events(std::vector<std::string>& out,
 }
 
 void write_trace_chrome_json(std::ostream& os,
-                             const std::vector<TraceEvent>& trace,
+                             const std::vector<rt::Event>& trace,
                              const std::vector<std::string>& task_names) {
   std::vector<std::string> events;
   append_trace_chrome_events(events, trace, task_names);

@@ -20,8 +20,8 @@ class AcceptAllTest final : public mcs::SchedulabilityTest {
     return true;
   }
   [[nodiscard]] std::string name() const override { return "accept-all"; }
-  [[nodiscard]] mcs::AdaptationKind adaptation() const override {
-    return mcs::AdaptationKind::kKilling;
+  [[nodiscard]] AdaptationKind adaptation() const override {
+    return AdaptationKind::kKilling;
   }
 };
 
@@ -46,8 +46,8 @@ TEST(DesignSpace, EnumeratesGrid) {
   ASSERT_EQ(points.size(), 6u);
   int killing = 0, degradation = 0;
   for (const auto& p : points) {
-    if (p.kind == mcs::AdaptationKind::kKilling) ++killing;
-    if (p.kind == mcs::AdaptationKind::kDegradation) ++degradation;
+    if (p.kind == AdaptationKind::kKilling) ++killing;
+    if (p.kind == AdaptationKind::kDegradation) ++degradation;
   }
   EXPECT_EQ(killing, 2);
   EXPECT_EQ(degradation, 4);
@@ -59,7 +59,7 @@ TEST(DesignSpace, Example31KillingCertifiable) {
   const auto points = explore_design_space(example31(), opt);
   bool found = false;
   for (const auto& p : points) {
-    if (p.kind == mcs::AdaptationKind::kKilling && p.segments == 1) {
+    if (p.kind == AdaptationKind::kKilling && p.segments == 1) {
       EXPECT_TRUE(p.certifiable);
       EXPECT_EQ(p.n_adapt, 2);
       EXPECT_DOUBLE_EQ(p.service_quality, 0.0);
@@ -84,7 +84,7 @@ TEST(DesignSpace, FmsParetoPrefersDegradation) {
   const auto front = pareto_front(points);
   ASSERT_FALSE(front.empty());
   for (const std::size_t i : front) {
-    EXPECT_EQ(points[i].kind, mcs::AdaptationKind::kDegradation);
+    EXPECT_EQ(points[i].kind, AdaptationKind::kDegradation);
     EXPECT_TRUE(points[i].certifiable);
   }
 }

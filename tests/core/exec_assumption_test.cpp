@@ -99,7 +99,7 @@ TEST(ExecAssumption, FtScheduleHonorsExecConfig) {
   // reported bounds.
   const FtTaskSet ts = chunky();
   FtsConfig full;
-  full.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  full.adaptation.kind = AdaptationKind::kDegradation;
   full.adaptation.degradation_factor = 6.0;
   full.adaptation.os_hours = 1.0;
   FtsConfig zero = full;

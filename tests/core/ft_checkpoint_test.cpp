@@ -132,12 +132,12 @@ TEST(CkptFts, DegenerateMatchesReexecutionFts) {
   const FtTaskSet ts = example31();
   CkptFtsConfig ckpt;
   ckpt.segments = 1;
-  ckpt.adaptation.kind = mcs::AdaptationKind::kKilling;
+  ckpt.adaptation.kind = AdaptationKind::kKilling;
   ckpt.adaptation.os_hours = 1.0;
   const CkptFtsResult g = ft_schedule_checkpointed(ts, ckpt);
 
   FtsConfig paper;
-  paper.adaptation.kind = mcs::AdaptationKind::kKilling;
+  paper.adaptation.kind = AdaptationKind::kKilling;
   paper.adaptation.os_hours = 1.0;
   const FtsResult r = ft_schedule(ts, paper);
 
@@ -157,13 +157,13 @@ TEST(CkptFts, SegmentationRescuesUnschedulableSet) {
                 make("tau5", 70, 9, Dal::D)},
                {Dal::B, Dal::D});
   FtsConfig paper;
-  paper.adaptation.kind = mcs::AdaptationKind::kKilling;
+  paper.adaptation.kind = AdaptationKind::kKilling;
   paper.adaptation.os_hours = 1.0;
   ASSERT_FALSE(ft_schedule(ts, paper).success);
 
   CkptFtsConfig ckpt;
   ckpt.segments = 4;
-  ckpt.adaptation.kind = mcs::AdaptationKind::kKilling;
+  ckpt.adaptation.kind = AdaptationKind::kKilling;
   ckpt.adaptation.os_hours = 1.0;
   const CkptFtsResult g = ft_schedule_checkpointed(ts, ckpt);
   ASSERT_TRUE(g.success) << to_string(g.failure);
@@ -181,7 +181,7 @@ TEST(CkptFts, OverheadCanDefeatTheGain) {
   CkptFtsConfig ckpt;
   ckpt.segments = 8;
   ckpt.overhead_fraction = 0.2;
-  ckpt.adaptation.kind = mcs::AdaptationKind::kKilling;
+  ckpt.adaptation.kind = AdaptationKind::kKilling;
   ckpt.adaptation.os_hours = 1.0;
   EXPECT_FALSE(ft_schedule_checkpointed(ts, ckpt).success);
 }
@@ -191,7 +191,7 @@ TEST(CkptFts, SafetyGateStillGuardsLevelC) {
   // level C LO tasks still cannot be killed on a long mission.
   CkptFtsConfig ckpt;
   ckpt.segments = 4;
-  ckpt.adaptation.kind = mcs::AdaptationKind::kKilling;
+  ckpt.adaptation.kind = AdaptationKind::kKilling;
   ckpt.adaptation.os_hours = 10.0;
   const CkptFtsResult g =
       ft_schedule_checkpointed(example31(Dal::C), ckpt);

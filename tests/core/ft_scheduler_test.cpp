@@ -24,7 +24,7 @@ FtTaskSet example31(Dal lo = Dal::D) {
 
 FtsConfig killing_config() {
   FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+  cfg.adaptation.kind = AdaptationKind::kKilling;
   cfg.adaptation.os_hours = 1.0;
   return cfg;
 }
@@ -56,11 +56,11 @@ TEST(FtSchedule, Example31ChoosesMaximalSchedulableAdaptation) {
   const double u_hi = example31().utilization(CritLevel::HI);
   const double u_lo = example31().utilization(CritLevel::LO);
   EXPECT_LE(umc_closed_form(u_hi, u_lo, r.n_hi, r.n_lo, r.n_adapt,
-                            mcs::AdaptationKind::kKilling, 1.0),
+                            AdaptationKind::kKilling, 1.0),
             1.0);
   if (r.n_adapt < r.n_hi) {
     EXPECT_GT(umc_closed_form(u_hi, u_lo, r.n_hi, r.n_lo, r.n_adapt + 1,
-                              mcs::AdaptationKind::kKilling, 1.0),
+                              AdaptationKind::kKilling, 1.0),
               1.0);
   }
 }
@@ -108,7 +108,7 @@ TEST(FtSchedule, Example31AtLevelCIsInfeasibleEvenWithDegradation) {
   // PFH at n = 2 is 1.8e-5 > 1e-5), which pushes U_LO^LO = 3 * 0.356 above
   // 1: no adaptation can help. FT-S must report this, not mis-succeed.
   FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  cfg.adaptation.kind = AdaptationKind::kDegradation;
   cfg.adaptation.degradation_factor = 6.0;
   cfg.adaptation.os_hours = 10.0;
   const FtsResult r = ft_schedule(example31(Dal::C), cfg);
@@ -126,7 +126,7 @@ TEST(FtSchedule, LevelCDegradationCanSucceed) {
                 make("tau5", 70, 4, Dal::C)},
                {Dal::B, Dal::C});
   FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  cfg.adaptation.kind = AdaptationKind::kDegradation;
   cfg.adaptation.degradation_factor = 6.0;
   cfg.adaptation.os_hours = 10.0;
   const FtsResult r = ft_schedule(ts, cfg);
@@ -213,7 +213,7 @@ TEST(UmcClosedForm, MatchesConvertedSetAnalysis) {
   const double u_lo = ts.utilization(CritLevel::LO);
   for (int n_adapt = 0; n_adapt <= 3; ++n_adapt) {
     const double closed = umc_closed_form(u_hi, u_lo, 3, 1, n_adapt,
-                                          mcs::AdaptationKind::kKilling, 1.0);
+                                          AdaptationKind::kKilling, 1.0);
     const auto direct =
         mcs::analyze_edf_vd(convert_to_mc(ts, 3, 1, n_adapt));
     EXPECT_NEAR(closed, direct.u_mc, 1e-12) << "n' = " << n_adapt;
@@ -224,7 +224,7 @@ TEST(SweepAdaptation, ProducesMonotoneCurves) {
   // The Fig. 1 mechanics: U_MC non-decreasing, pfh(LO) non-increasing.
   const FtTaskSet ts = example31(Dal::C);
   AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kKilling;
+  model.kind = AdaptationKind::kKilling;
   model.os_hours = 1.0;
   const auto pts = sweep_adaptation(ts, 3, 3, model,
                                     SafetyRequirements::do178b(), 4);

@@ -25,7 +25,7 @@ FtTaskSet example31() {
 
 AdaptationModel killing(double os = 1.0) {
   AdaptationModel m;
-  m.kind = mcs::AdaptationKind::kKilling;
+  m.kind = AdaptationKind::kKilling;
   m.os_hours = os;
   return m;
 }
@@ -33,13 +33,13 @@ AdaptationModel killing(double os = 1.0) {
 TEST(AdaptationBudget, KillingClosedForm) {
   // u_lo_lo = 0.4, u_hi_hi = 0.7: budget = min(0.6, 0.3*0.6/0.4) = 0.45.
   EXPECT_NEAR(
-      adaptation_budget(0.4, 0.7, mcs::AdaptationKind::kKilling, 1.0), 0.45,
+      adaptation_budget(0.4, 0.7, AdaptationKind::kKilling, 1.0), 0.45,
       1e-12);
 }
 
 TEST(AdaptationBudget, KillingNoLoTasksBudgetIsLoBranch) {
   EXPECT_NEAR(
-      adaptation_budget(0.0, 0.7, mcs::AdaptationKind::kKilling, 1.0), 1.0,
+      adaptation_budget(0.0, 0.7, AdaptationKind::kKilling, 1.0), 1.0,
       1e-12);
 }
 
@@ -48,24 +48,24 @@ TEST(AdaptationBudget, DegradationClosedForm) {
   // lambda_max = 1 - 0.5/0.92; budget = min(0.6, lambda_max * 0.6).
   const double lambda_max = 1.0 - 0.5 / 0.92;
   EXPECT_NEAR(adaptation_budget(0.4, 0.5,
-                                mcs::AdaptationKind::kDegradation, 6.0),
+                                AdaptationKind::kDegradation, 6.0),
               lambda_max * 0.6, 1e-12);
 }
 
 TEST(AdaptationBudget, InfeasibleCasesNegative) {
-  EXPECT_LT(adaptation_budget(1.1, 0.1, mcs::AdaptationKind::kKilling, 1.0),
+  EXPECT_LT(adaptation_budget(1.1, 0.1, AdaptationKind::kKilling, 1.0),
             0.0);
-  EXPECT_LT(adaptation_budget(0.4, 1.2, mcs::AdaptationKind::kKilling, 1.0),
+  EXPECT_LT(adaptation_budget(0.4, 1.2, AdaptationKind::kKilling, 1.0),
             0.0);
   // df so small the degraded LO load alone saturates: 0.9/(1.5-1) = 1.8.
   EXPECT_LT(adaptation_budget(0.9, 0.1,
-                              mcs::AdaptationKind::kDegradation, 1.5),
+                              AdaptationKind::kDegradation, 1.5),
             0.0);
 }
 
 TEST(AdaptationBudget, RejectsNoneKind) {
   EXPECT_THROW(
-      (void)adaptation_budget(0.4, 0.5, mcs::AdaptationKind::kNone, 1.0),
+      (void)adaptation_budget(0.4, 0.5, AdaptationKind::kNone, 1.0),
       ContractViolation);
 }
 
@@ -74,7 +74,7 @@ TEST(AdaptationBudget, BudgetMatchesUmcBoundary) {
   // more exceeds it.
   const double u_lo_lo = 0.36, u_hi_hi = 0.6;
   const double budget =
-      adaptation_budget(u_lo_lo, u_hi_hi, mcs::AdaptationKind::kKilling, 1.0);
+      adaptation_budget(u_lo_lo, u_hi_hi, AdaptationKind::kKilling, 1.0);
   EXPECT_LE(mcs::edf_vd_umc(u_lo_lo, budget, u_hi_hi), 1.0 + 1e-9);
   EXPECT_GT(mcs::edf_vd_umc(u_lo_lo, budget + 1e-6, u_hi_hi), 1.0);
 }
@@ -127,7 +127,7 @@ TEST(Heterogeneous, DominatesBestUniformProfile) {
 TEST(Heterogeneous, FmsDegradationStaysSafe) {
   const FtTaskSet fms = fms::canonical_fms_instance();
   AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kDegradation;
+  model.kind = AdaptationKind::kDegradation;
   model.degradation_factor = fms::kFmsDegradationFactor;
   model.os_hours = fms::kFmsOperationHours;
   const auto r = optimize_adaptation_profiles(

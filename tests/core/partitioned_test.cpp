@@ -20,8 +20,8 @@ FtTaskSet example31(Dal lo = Dal::D) {
 }
 
 PartitionedConfig config(int cores,
-                         mcs::AdaptationKind kind =
-                             mcs::AdaptationKind::kKilling) {
+                         AdaptationKind kind =
+                             AdaptationKind::kKilling) {
   PartitionedConfig c;
   c.cores = cores;
   c.fts.adaptation.kind = kind;
@@ -130,7 +130,7 @@ TEST(Partitioned, DegradationOnTwoCores) {
     copy.name += "_b";
     doubled.add(copy);
   }
-  PartitionedConfig cfg = config(4, mcs::AdaptationKind::kDegradation);
+  PartitionedConfig cfg = config(4, AdaptationKind::kDegradation);
   const PartitionedResult p = ft_schedule_partitioned(doubled, cfg);
   // n_HI = n_LO = 3 at level C: the doubled worst-case load is ~3.6, so
   // four cores carry what one (or three) cannot.

@@ -85,7 +85,7 @@ TEST(MinAdaptationProfile, UnconstrainedLoAllowsImmediateKilling) {
   // LO in {D, E}: "they can be killed without jeopardizing the system
   // safety" -> n' = 0 is admissible.
   AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kKilling;
+  model.kind = AdaptationKind::kKilling;
   model.os_hours = 1.0;
   const auto n1 = min_adaptation_profile(
       example31(Dal::D), 3, 1, SafetyRequirements::do178b(), model);
@@ -97,7 +97,7 @@ TEST(MinAdaptationProfile, KillingInfeasibleForLevelCLoTasks) {
   // With LO = C, any kill within n' < n_HI leaves pfh(LO) >> 1e-5 at this
   // scale (the Fig. 1 situation): no admissible killing profile exists.
   AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kKilling;
+  model.kind = AdaptationKind::kKilling;
   model.os_hours = 10.0;
   const FtTaskSet ts = example31(Dal::C);
   const auto n1 = min_adaptation_profile(ts, 3, 3,
@@ -109,7 +109,7 @@ TEST(MinAdaptationProfile, DegradationFeasibleForLevelCLoTasks) {
   // Same configuration, degradation instead of killing: feasible (the
   // Fig. 2 situation).
   AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kDegradation;
+  model.kind = AdaptationKind::kDegradation;
   model.degradation_factor = 6.0;
   model.os_hours = 10.0;
   const FtTaskSet ts = example31(Dal::C);
@@ -121,7 +121,7 @@ TEST(MinAdaptationProfile, DegradationFeasibleForLevelCLoTasks) {
 
 TEST(MinAdaptationProfile, ResultIsMinimal) {
   AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kDegradation;
+  model.kind = AdaptationKind::kDegradation;
   model.degradation_factor = 6.0;
   model.os_hours = 10.0;
   const FtTaskSet ts = example31(Dal::C);
@@ -145,12 +145,12 @@ TEST(MinAdaptationProfile, RejectsNonPositiveProfiles) {
 TEST(PfhLoUnderAdaptation, DispatchesAllThreeKinds) {
   const FtTaskSet ts = example31(Dal::C);
   AdaptationModel none;
-  none.kind = mcs::AdaptationKind::kNone;
+  none.kind = AdaptationKind::kNone;
   AdaptationModel kill;
-  kill.kind = mcs::AdaptationKind::kKilling;
+  kill.kind = AdaptationKind::kKilling;
   kill.os_hours = 1.0;
   AdaptationModel degrade;
-  degrade.kind = mcs::AdaptationKind::kDegradation;
+  degrade.kind = AdaptationKind::kDegradation;
   degrade.degradation_factor = 6.0;
   degrade.os_hours = 1.0;
 

@@ -18,7 +18,7 @@ FtTaskSet example31(Dal lo = Dal::D) {
 
 FtsConfig killing_config(double os = 1.0) {
   FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+  cfg.adaptation.kind = AdaptationKind::kKilling;
   cfg.adaptation.os_hours = os;
   return cfg;
 }
@@ -84,7 +84,7 @@ TEST(Report, Deterministic) {
 
 TEST(Report, DegradationMentionsFactor) {
   FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  cfg.adaptation.kind = AdaptationKind::kDegradation;
   cfg.adaptation.degradation_factor = 6.0;
   cfg.adaptation.os_hours = 1.0;
   const std::string report = certification_report(example31(), cfg);

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -26,6 +25,8 @@
 #include "ftmc/fleet/protocol.hpp"
 #include "ftmc/io/json.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace ftmc::fleet {
 namespace {
 
@@ -38,16 +39,6 @@ namespace {
     "sets_per_point": 5,
     "seed": 20140601
   })");
-}
-
-/// Scratch directory unique to the running test, wiped on setup.
-[[nodiscard]] std::string scratch_dir(const std::string& leaf) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "ftmc_fleet_test" / leaf)
-          .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 struct FakeClock {

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +15,8 @@
 #include "ftmc/campaign/runner.hpp"
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/fleet/worker.hpp"
+
+#include "scratch_dir.hpp"
 
 namespace ftmc::fleet {
 namespace {
@@ -29,15 +30,6 @@ namespace {
     "sets_per_point": 4,
     "seed": 20140601
   })");
-}
-
-[[nodiscard]] std::string scratch_dir(const std::string& leaf) {
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           "ftmc_fleet_service" / leaf)
-                              .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 TEST(CoordinatorService, TwoWorkersOverTcpMatchSingleProcessBytes) {

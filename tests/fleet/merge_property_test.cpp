@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
@@ -24,6 +23,8 @@
 #include "ftmc/fleet/coordinator.hpp"
 #include "ftmc/fleet/protocol.hpp"
 #include "ftmc/io/json.hpp"
+
+#include "scratch_dir.hpp"
 
 namespace ftmc::fleet {
 namespace {
@@ -37,15 +38,6 @@ namespace {
     "sets_per_point": 4,
     "seed": 20140601
   })");
-}
-
-[[nodiscard]] std::string scratch_dir(const std::string& leaf) {
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           "ftmc_merge_property" / leaf)
-                              .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 struct Files {

@@ -93,7 +93,7 @@ TEST(FmsCanonical, UmcCrossesOneBetween2And3ForKilling) {
   // Fig. 1: schedulable region is n' <= 2.
   const core::FtTaskSet ts = canonical_fms_instance();
   core::AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kKilling;
+  model.kind = AdaptationKind::kKilling;
   model.os_hours = kFmsOperationHours;
   const auto pts = core::sweep_adaptation(ts, 3, 2, model,
                                           SafetyRequirements::do178b(), 4);
@@ -108,7 +108,7 @@ TEST(FmsCanonical, UmcCrossesOneBetween2And3ForDegradation) {
   // Fig. 2: same schedulable region under degradation with d_f = 6.
   const core::FtTaskSet ts = canonical_fms_instance();
   core::AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kDegradation;
+  model.kind = AdaptationKind::kDegradation;
   model.degradation_factor = kFmsDegradationFactor;
   model.os_hours = kFmsOperationHours;
   const auto pts = core::sweep_adaptation(ts, 3, 2, model,
@@ -123,14 +123,14 @@ TEST(FmsCanonical, KillingOrdersOfMagnitudeMatchPaper) {
   // degradation is adopted".
   const core::FtTaskSet ts = canonical_fms_instance();
   core::AdaptationModel kill;
-  kill.kind = mcs::AdaptationKind::kKilling;
+  kill.kind = AdaptationKind::kKilling;
   kill.os_hours = kFmsOperationHours;
   const double pfh_kill = core::pfh_lo_under_adaptation(ts, 3, 2, 2, kill);
   EXPECT_GT(pfh_kill, 1e-2);
   EXPECT_LT(pfh_kill, 1.0);
 
   core::AdaptationModel degrade;
-  degrade.kind = mcs::AdaptationKind::kDegradation;
+  degrade.kind = AdaptationKind::kDegradation;
   degrade.degradation_factor = kFmsDegradationFactor;
   degrade.os_hours = kFmsOperationHours;
   const double pfh_deg = core::pfh_lo_under_adaptation(ts, 3, 2, 2, degrade);
@@ -144,10 +144,10 @@ TEST(FmsCanonical, KillingUnsafeDegradationSafeInSchedulableRegion) {
   const core::FtTaskSet ts = canonical_fms_instance();
   const auto reqs = SafetyRequirements::do178b();
   core::AdaptationModel kill;
-  kill.kind = mcs::AdaptationKind::kKilling;
+  kill.kind = AdaptationKind::kKilling;
   kill.os_hours = kFmsOperationHours;
   core::AdaptationModel degrade;
-  degrade.kind = mcs::AdaptationKind::kDegradation;
+  degrade.kind = AdaptationKind::kDegradation;
   degrade.degradation_factor = kFmsDegradationFactor;
   degrade.os_hours = kFmsOperationHours;
 
@@ -167,13 +167,13 @@ TEST(FmsCanonical, FtScheduleEndToEnd) {
   // FT-S with killing must FAIL (safety), with degradation must SUCCEED.
   const core::FtTaskSet ts = canonical_fms_instance();
   core::FtsConfig kill;
-  kill.adaptation.kind = mcs::AdaptationKind::kKilling;
+  kill.adaptation.kind = AdaptationKind::kKilling;
   kill.adaptation.os_hours = kFmsOperationHours;
   const auto r_kill = core::ft_schedule(ts, kill);
   EXPECT_FALSE(r_kill.success);
 
   core::FtsConfig degrade;
-  degrade.adaptation.kind = mcs::AdaptationKind::kDegradation;
+  degrade.adaptation.kind = AdaptationKind::kDegradation;
   degrade.adaptation.degradation_factor = kFmsDegradationFactor;
   degrade.adaptation.os_hours = kFmsOperationHours;
   const auto r_deg = core::ft_schedule(ts, degrade);

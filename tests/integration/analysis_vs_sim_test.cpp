@@ -38,8 +38,8 @@ TEST(AnalysisVsSim, EmpiricalPfhBelowPlainBound) {
   const PerTaskProfile n = core::uniform_profile(ts, 2, 2);
 
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdf;
-  cfg.adaptation = mcs::AdaptationKind::kNone;
+  cfg.policy = PolicyKind::kEdf;
+  cfg.adaptation = AdaptationKind::kNone;
   cfg.horizon = 10 * sim::kTicksPerHour;
   cfg.seed = 17;
   sim::Simulator simulator(sim::build_sim_tasks(ts, 2, 2, 2, 1.0), cfg);
@@ -80,8 +80,8 @@ TEST(AnalysisVsSim, EdfVdScheduleHasNoMissesUnderWorstCaseFaults) {
   ASSERT_TRUE(vd.schedulable);
 
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.policy = PolicyKind::kEdfVd;
+  cfg.adaptation = AdaptationKind::kKilling;
   cfg.horizon = sim::kTicksPerHour;
   cfg.seed = 5;
   sim::Simulator simulator(sim::build_sim_tasks(ts, 3, 1, 2, vd.x), cfg);
@@ -106,8 +106,8 @@ TEST(AnalysisVsSim, ModeSwitchTimeConsistentWithSurvivalBound) {
   const PerTaskProfile n_adapt = core::uniform_profile(ts, 1, 0);
 
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.policy = PolicyKind::kEdfVd;
+  cfg.adaptation = AdaptationKind::kKilling;
   cfg.horizon = sim::kTicksPerHour;
 
   // Average the first switch time over independent seeds.
@@ -151,8 +151,8 @@ TEST(AnalysisVsSim, KilledFractionBoundedByTriggerProbability) {
   const int reps = 300;
   for (int rep = 0; rep < reps; ++rep) {
     sim::SimConfig cfg;
-    cfg.policy = sim::PolicyKind::kEdfVd;
-    cfg.adaptation = mcs::AdaptationKind::kKilling;
+    cfg.policy = PolicyKind::kEdfVd;
+    cfg.adaptation = AdaptationKind::kKilling;
     cfg.horizon = sim::millis_to_ticks(mission_ms);
     cfg.seed = 1000 + static_cast<std::uint64_t>(rep);
     sim::Simulator simulator(sim::build_sim_tasks(ts, 3, 1, 2, 1.0), cfg);
@@ -177,7 +177,7 @@ TEST(AnalysisVsSim, FtScheduleResultRunsCleanInSimulator) {
                 make("tau5", 70, 8, Dal::D, 1e-5)},
                {Dal::B, Dal::D});
   core::FtsConfig fts_cfg;
-  fts_cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+  fts_cfg.adaptation.kind = AdaptationKind::kKilling;
   fts_cfg.adaptation.os_hours = 1.0;
   const core::FtsResult r = core::ft_schedule(ts, fts_cfg);
   ASSERT_TRUE(r.success) << core::to_string(r.failure);
@@ -186,8 +186,8 @@ TEST(AnalysisVsSim, FtScheduleResultRunsCleanInSimulator) {
   ASSERT_TRUE(vd.schedulable);
 
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.policy = PolicyKind::kEdfVd;
+  cfg.adaptation = AdaptationKind::kKilling;
   cfg.horizon = sim::kTicksPerHour / 2;
   cfg.seed = 11;
   sim::Simulator simulator(

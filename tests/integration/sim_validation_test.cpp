@@ -35,8 +35,8 @@ TEST(SimValidation, BoundConsistentWithExactPoissonInterval) {
   const double hours = 2.0;
 
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdf;
-  cfg.adaptation = mcs::AdaptationKind::kNone;
+  cfg.policy = PolicyKind::kEdf;
+  cfg.adaptation = AdaptationKind::kNone;
   cfg.horizon = static_cast<sim::Tick>(hours * sim::kTicksPerHour);
   cfg.seed = 424242;
   sim::Simulator simulator(
@@ -71,8 +71,8 @@ TEST(SimValidation, ZeroFailuresYieldInformativeInterval) {
   // hours" an informative statement about rates up to 3.689/h.
   const core::FtTaskSet ts = validation_set(0.0);
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdf;
-  cfg.adaptation = mcs::AdaptationKind::kNone;
+  cfg.policy = PolicyKind::kEdf;
+  cfg.adaptation = AdaptationKind::kNone;
   cfg.horizon = static_cast<sim::Tick>(0.1 * sim::kTicksPerHour);
   cfg.seed = 7;
   sim::Simulator simulator(sim::build_sim_tasks(ts, 2, 2, 2, 1.0), cfg);

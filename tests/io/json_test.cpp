@@ -105,7 +105,7 @@ TEST(JsonTaskSet, FromJsonValidatesInput) {
 
 TEST(JsonFtsResult, SerializesVerdictAndProfiles) {
   core::FtsConfig cfg;
-  cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+  cfg.adaptation.kind = AdaptationKind::kKilling;
   cfg.adaptation.os_hours = 1.0;
   core::FtTaskSet ts(
       {core::FtTask{"tau1", 60, 60, 5, Dal::B, 1e-5},

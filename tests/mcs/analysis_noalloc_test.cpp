@@ -147,9 +147,9 @@ TEST(AnalysisNoAlloc, PfhBoundsAreSteadyStateAllocationFree) {
 TEST(AnalysisNoAlloc, AdaptationDispatchIsSteadyStateAllocationFree) {
   const core::FtTaskSet ts = mixed_set();
   double sink = 0.0;
-  for (const mcs::AdaptationKind kind :
-       {mcs::AdaptationKind::kNone, mcs::AdaptationKind::kKilling,
-        mcs::AdaptationKind::kDegradation}) {
+  for (const AdaptationKind kind :
+       {AdaptationKind::kNone, AdaptationKind::kKilling,
+        AdaptationKind::kDegradation}) {
     core::AdaptationModel model;
     model.kind = kind;
     expect_steady_state_noalloc("pfh_lo_under_adaptation", [&] {

@@ -10,10 +10,10 @@
 namespace ftmc {
 namespace {
 
-sim::SimTask task(const std::string& name, sim::Tick period, sim::Tick wcet,
+rt::HostTask task(const std::string& name, sim::Tick period, sim::Tick wcet,
                   CritLevel crit, int max_attempts, int adapt_threshold,
                   double f) {
-  sim::SimTask t;
+  rt::HostTask t;
   t.name = name;
   t.period = period;
   t.deadline = period;
@@ -41,7 +41,7 @@ void expect_bit_identical(const sim::MonteCarloResult& a,
 }
 
 TEST(ParallelDeterminism, MonteCarloCampaignMatchesSerialBitForBit) {
-  const std::vector<sim::SimTask> tasks = {
+  const std::vector<rt::HostTask> tasks = {
       task("h1", 50'000, 2'000, CritLevel::HI, 3, 1, 0.05),
       task("h2", 120'000, 5'000, CritLevel::HI, 2, 1, 0.02),
       task("l1", 80'000, 3'000, CritLevel::LO, 2, 2, 0.08),
@@ -49,8 +49,8 @@ TEST(ParallelDeterminism, MonteCarloCampaignMatchesSerialBitForBit) {
 
   for (const std::uint64_t seed : {1ull, 2ull, 20140601ull}) {
     sim::SimConfig cfg;
-    cfg.policy = sim::PolicyKind::kEdfVd;
-    cfg.adaptation = mcs::AdaptationKind::kKilling;
+    cfg.policy = PolicyKind::kEdfVd;
+    cfg.adaptation = AdaptationKind::kKilling;
     cfg.random_phasing = true;
 
     sim::MonteCarloOptions opt;
@@ -74,11 +74,11 @@ TEST(ParallelDeterminism, CampaignsWithDifferentSeedsDiffer) {
   // Sanity for the independence fix: adjacent base seeds should no
   // longer share (missions - 1) of their mission streams, so aggregate
   // statistics over many stochastic missions should differ.
-  const std::vector<sim::SimTask> tasks = {
+  const std::vector<rt::HostTask> tasks = {
       task("h", 50'000, 2'000, CritLevel::HI, 3, 1, 0.1),
       task("l", 70'000, 2'500, CritLevel::LO, 2, 2, 0.1)};
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
+  cfg.policy = PolicyKind::kEdfVd;
   sim::MonteCarloOptions opt;
   opt.missions = 200;
   opt.mission_length = 500'000;

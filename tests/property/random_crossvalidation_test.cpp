@@ -65,7 +65,7 @@ TEST_P(RandomSets, ClosedFormUmcMatchesDirectAnalysis) {
     for (int n_adapt = 0; n_adapt <= 3; ++n_adapt) {
       const double closed = core::umc_closed_form(
           ts.utilization(CritLevel::HI), ts.utilization(CritLevel::LO), 3,
-          2, n_adapt, mcs::AdaptationKind::kKilling, 1.0);
+          2, n_adapt, AdaptationKind::kKilling, 1.0);
       const auto direct =
           mcs::analyze_edf_vd(core::convert_to_mc(ts, 3, 2, n_adapt));
       if (std::isinf(closed) || std::isinf(direct.u_mc)) {
@@ -85,7 +85,7 @@ TEST_P(RandomSets, FtsSuccessImpliesAllGuarantees) {
   int successes = 0;
   for (const FtTaskSet& ts : draw(60)) {
     core::FtsConfig cfg;
-    cfg.adaptation.kind = mcs::AdaptationKind::kKilling;
+    cfg.adaptation.kind = AdaptationKind::kKilling;
     cfg.adaptation.os_hours = 1.0;
     const auto r = core::ft_schedule(ts, cfg);
     if (!r.success) continue;
@@ -167,7 +167,7 @@ TEST_P(RandomSets, IoRoundTripIsLossless) {
 
 TEST_P(RandomSets, HeterogeneousAllocationStaysWithinBudget) {
   core::AdaptationModel model;
-  model.kind = mcs::AdaptationKind::kKilling;
+  model.kind = AdaptationKind::kKilling;
   model.os_hours = 0.01;
   const auto reqs = core::SafetyRequirements::do178b();
   for (const FtTaskSet& ts : draw(10)) {

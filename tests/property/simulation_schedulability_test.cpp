@@ -18,7 +18,7 @@ namespace {
 
 struct Scenario {
   double utilization;
-  mcs::AdaptationKind kind;
+  AdaptationKind kind;
   std::uint64_t seed;
 };
 
@@ -55,7 +55,7 @@ TEST_P(AcceptedSystems, NoMissesUnderWorstCaseFaultInjection) {
       x = std::clamp(vd.x, 0.001, 1.0);
     }
     sim::SimConfig sim_cfg;
-    sim_cfg.policy = sim::PolicyKind::kEdfVd;
+    sim_cfg.policy = PolicyKind::kEdfVd;
     sim_cfg.adaptation = scenario.kind;
     sim_cfg.degradation_factor = 6.0;
     sim_cfg.horizon = sim::kTicksPerHour / 20;  // 3 simulated minutes
@@ -81,12 +81,12 @@ TEST_P(AcceptedSystems, NoMissesUnderWorstCaseFaultInjection) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AcceptedSystems,
     ::testing::Values(
-        Scenario{0.3, mcs::AdaptationKind::kKilling, 101},
-        Scenario{0.5, mcs::AdaptationKind::kKilling, 202},
-        Scenario{0.7, mcs::AdaptationKind::kKilling, 303},
-        Scenario{0.3, mcs::AdaptationKind::kDegradation, 404},
-        Scenario{0.5, mcs::AdaptationKind::kDegradation, 505},
-        Scenario{0.7, mcs::AdaptationKind::kDegradation, 606}));
+        Scenario{0.3, AdaptationKind::kKilling, 101},
+        Scenario{0.5, AdaptationKind::kKilling, 202},
+        Scenario{0.7, AdaptationKind::kKilling, 303},
+        Scenario{0.3, AdaptationKind::kDegradation, 404},
+        Scenario{0.5, AdaptationKind::kDegradation, 505},
+        Scenario{0.7, AdaptationKind::kDegradation, 606}));
 
 }  // namespace
 }  // namespace ftmc

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "ftmc/check/blackbox.hpp"
 #include "ftmc/check/replay.hpp"
+#include "ftmc/common/contracts.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/rt/blackbox_io.hpp"
 #include "ftmc/rt/posix_host.hpp"
@@ -24,26 +26,25 @@ namespace fms = ftmc::fms;
 
 namespace {
 
-std::vector<rt::PosixTask> fms_posix_tasks(double fault_prob) {
-  std::vector<rt::PosixTask> tasks = check::posix_tasks_from_sim(
-      sim::build_sim_tasks(fms::canonical_fms_instance(), /*n_hi=*/3,
-                           /*n_lo=*/2, /*n_adapt=*/2,
-                           /*virtual_deadline_factor=*/0.7));
-  for (rt::PosixTask& t : tasks) t.failure_prob = fault_prob;
+std::vector<rt::HostTask> fms_posix_tasks(double fault_prob) {
+  std::vector<rt::HostTask> tasks = sim::build_sim_tasks(
+      fms::canonical_fms_instance(), /*n_hi=*/3, /*n_lo=*/2, /*n_adapt=*/2,
+      /*virtual_deadline_factor=*/0.7);
+  for (rt::HostTask& t : tasks) t.failure_prob = fault_prob;
   return tasks;
 }
 
 rt::PosixHostConfig fms_config(std::size_t ring_capacity) {
   rt::PosixHostConfig cfg;
-  cfg.core.policy = rt::Policy::kEdfVd;
-  cfg.core.adaptation = rt::Adaptation::kDegradation;
+  cfg.core.policy = ftmc::PolicyKind::kEdfVd;
+  cfg.core.adaptation = ftmc::AdaptationKind::kDegradation;
   cfg.core.degradation_factor = fms::kFmsDegradationFactor;
   cfg.core.mode_reset_on_idle = true;
   cfg.core.black_box_capacity = ring_capacity;
   cfg.horizon = 2'000'000;  // 2 simulated seconds
   cfg.time_scale = 0.0;     // free-run
   cfg.seed = 42;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   cfg.trace_capacity = 200'000;
   return cfg;
 }
@@ -107,7 +108,7 @@ TEST(RtBlackBox, RecordKindNamesRoundTrip) {
 }
 
 TEST(RtBlackBox, SimulatorRecorderAlignsWithItsOwnTrace) {
-  const std::vector<sim::SimTask> tasks = sim::build_sim_tasks(
+  const std::vector<rt::HostTask> tasks = sim::build_sim_tasks(
       fms::canonical_fms_instance(), 3, 2, 2, 0.7);
   sim::SimConfig cfg;
   cfg.horizon = 1'000'000;
@@ -117,7 +118,7 @@ TEST(RtBlackBox, SimulatorRecorderAlignsWithItsOwnTrace) {
   (void)simulator.run();
 
   const rt::FlightRecorder& bb = simulator.black_box();
-  const std::vector<sim::TraceEvent>& trace = simulator.trace();
+  const std::vector<rt::Event>& trace = simulator.trace();
   const std::uint64_t admissions = bb.total() - trace.size();
   ASSERT_EQ(admissions, tasks.size());
   for (std::size_t i = 0; i < bb.size(); ++i) {
@@ -126,20 +127,22 @@ TEST(RtBlackBox, SimulatorRecorderAlignsWithItsOwnTrace) {
       EXPECT_EQ(r.kind, rt::RecordKind::kAdmit);
       continue;
     }
-    const sim::TraceEvent& e = trace[static_cast<std::size_t>(
+    const rt::Event& e = trace[static_cast<std::size_t>(
         r.seq - admissions)];
     EXPECT_EQ(r.time, e.time);
     EXPECT_EQ(static_cast<int>(r.kind), static_cast<int>(e.kind));
     EXPECT_EQ(r.task, e.task);
     EXPECT_EQ(r.job, e.job);
     EXPECT_EQ(r.detail, e.detail);
+    EXPECT_EQ(r.release, e.release);
+    EXPECT_EQ(r.abs_deadline, e.abs_deadline);
   }
 }
 
 TEST(RtBlackBox, WrappedPosixDumpParsesBackAndReplays) {
   // Ring far smaller than the event count: only the newest tail
   // survives, which is exactly what a post-mortem has to align.
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/64);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
@@ -163,7 +166,7 @@ TEST(RtBlackBox, WrappedPosixDumpParsesBackAndReplays) {
 }
 
 TEST(RtBlackBox, ReplayDetectsAMutatedRecord) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/4096);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
@@ -184,7 +187,7 @@ TEST(RtBlackBox, TruncatedRunReplaysAsAPrefix) {
   // A SIGINT-style stop produces a prefix of the full schedule; the dump
   // of the truncated run must still replay clean against the simulator
   // (which runs the configured horizon, i.e. a superset of the events).
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/1 << 16);
   rt::PosixHost host(tasks, cfg);
   host.request_stop();  // stop before the first scheduling quantum
@@ -200,7 +203,7 @@ TEST(RtBlackBox, TruncatedRunReplaysAsAPrefix) {
 }
 
 TEST(RtBlackBox, ParserRejectsCorruptedDumps) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.02);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.02);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/256);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
@@ -229,10 +232,41 @@ TEST(RtBlackBox, ParserRejectsCorruptedDumps) {
   // Malformed JSON.
   EXPECT_THROW((void)check::parse_blackbox_json("{\"format\":"),
                std::exception);
+  // Out-of-range numbers are rejected with a message naming the field,
+  // never cast: priority must be an integer in int's range, and the
+  // narrowed counts must fit their type (4294967297 is 2^32 + 1).
+  const struct {
+    const char* key;
+    const char* value;
+    const char* field;
+  } corruptions[] = {
+      {"\"priority\": ", "1e300", "priority"},
+      {"\"priority\": ", "\"inf\"", "priority"},
+      {"\"priority\": ", "null", "priority"},
+      {"\"priority\": ", "2.5", "priority"},
+      {"\"max_attempts\": ", "4294967297", "max_attempts"},
+      {"\"adapt_threshold\": ", "4294967297", "adapt_threshold"},
+      {"\"segments\": ", "4294967297", "segments"},
+      {"\"task\":", "4294967297", "task"},
+  };
+  for (const auto& c : corruptions) {
+    std::string bad = good;
+    const std::size_t at = bad.find(c.key);
+    ASSERT_NE(at, std::string::npos) << c.key;
+    const std::size_t from = at + std::strlen(c.key);
+    bad.replace(from, bad.find_first_of(",}", from) - from, c.value);
+    try {
+      (void)check::parse_blackbox_json(bad);
+      ADD_FAILURE() << c.field << " = " << c.value << " parsed";
+    } catch (const ftmc::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RtBlackBox, CsvDumpHasOneLinePerRecord) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.02);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.02);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/128);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();

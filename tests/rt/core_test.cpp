@@ -65,7 +65,7 @@ rt::TaskParams task(Tick period, Tick deadline, Tick wcet, Tick vd,
 TEST(RtCore, EdfPicksEarliestAbsoluteDeadline) {
   ScriptedHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdf;
+  cfg.policy = ftmc::PolicyKind::kEdf;
   rt::Core core(cfg, host);
   core.add_task(task(100, 80, 10, 80, CritLevel::LO));
   core.add_task(task(100, 40, 10, 40, CritLevel::LO));
@@ -86,8 +86,8 @@ TEST(RtCore, EdfPicksEarliestAbsoluteDeadline) {
 TEST(RtCore, EdfVdUsesVirtualDeadlineInLoModeOnly) {
   ScriptedHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdfVd;
-  cfg.adaptation = rt::Adaptation::kNone;
+  cfg.policy = ftmc::PolicyKind::kEdfVd;
+  cfg.adaptation = ftmc::AdaptationKind::kNone;
   rt::Core core(cfg, host);
   // HI task: D=100, VD=30. LO task: D=50.
   core.add_task(task(200, 100, 10, 30, CritLevel::HI, 2, 1));
@@ -116,7 +116,7 @@ TEST(RtCore, EdfVdUsesVirtualDeadlineInLoModeOnly) {
 TEST(RtCore, ReExecutionUntilBudgetExhausted) {
   ScriptedHost host;
   rt::CoreConfig cfg;
-  cfg.adaptation = rt::Adaptation::kNone;
+  cfg.adaptation = ftmc::AdaptationKind::kNone;
   rt::Core core(cfg, host);
   core.add_task(task(1000, 1000, 10, 1000, CritLevel::HI, 3, 99));
   core.start();
@@ -144,7 +144,7 @@ TEST(RtCore, ReExecutionUntilBudgetExhausted) {
 TEST(RtCore, ThresholdZeroSwitchesAtRelease) {
   ScriptedHost host;
   rt::CoreConfig cfg;
-  cfg.adaptation = rt::Adaptation::kKilling;
+  cfg.adaptation = ftmc::AdaptationKind::kKilling;
   rt::Core core(cfg, host);
   core.add_task(task(1000, 1000, 10, 500, CritLevel::HI, 2, 0));
   core.add_task(task(1000, 1000, 10, 1000, CritLevel::LO));
@@ -167,7 +167,7 @@ TEST(RtCore, ThresholdZeroSwitchesAtRelease) {
 TEST(RtCore, DegradationStretchesDeadlinesAndPeriods) {
   ScriptedHost host;
   rt::CoreConfig cfg;
-  cfg.adaptation = rt::Adaptation::kDegradation;
+  cfg.adaptation = ftmc::AdaptationKind::kDegradation;
   cfg.degradation_factor = 3.0;
   rt::Core core(cfg, host);
   core.add_task(task(1000, 1000, 10, 400, CritLevel::HI, 2, 1));
@@ -200,7 +200,7 @@ TEST(RtCore, DegradationStretchesDeadlinesAndPeriods) {
 TEST(RtCore, ModeResetOnIdleReturnsToLo) {
   ScriptedHost host;
   rt::CoreConfig cfg;
-  cfg.adaptation = rt::Adaptation::kKilling;
+  cfg.adaptation = ftmc::AdaptationKind::kKilling;
   cfg.mode_reset_on_idle = true;
   rt::Core core(cfg, host);
   core.add_task(task(1000, 1000, 10, 500, CritLevel::HI, 2, 1));
@@ -310,7 +310,7 @@ TEST(RtCore, AdmissionControlUsesVirtualDeadlineInLoView) {
   ScriptedHost host;
   rt::CoreConfig cfg;
   cfg.admission_control = true;
-  cfg.policy = rt::Policy::kEdfVd;
+  cfg.policy = ftmc::PolicyKind::kEdfVd;
   rt::Core core(cfg, host);
   // HI task with C=60, D=100, VD=50: LO-mode density 60/50 = 1.2 > 1.
   EXPECT_FALSE(

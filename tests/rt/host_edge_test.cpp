@@ -14,10 +14,8 @@
 
 #include "ftmc/check/replay.hpp"
 #include "ftmc/rt/posix_host.hpp"
-#include "ftmc/sim/engine.hpp"
 
 namespace rt = ftmc::rt;
-namespace sim = ftmc::sim;
 namespace check = ftmc::check;
 using ftmc::CritLevel;
 using rt::Tick;
@@ -41,15 +39,6 @@ std::vector<Ev> normalize(const std::vector<rt::Event>& trace) {
   return out;
 }
 
-std::vector<Ev> normalize(const std::vector<sim::TraceEvent>& trace) {
-  std::vector<Ev> out;
-  out.reserve(trace.size());
-  for (const sim::TraceEvent& e : trace) {
-    out.push_back({e.time, static_cast<int>(e.kind), e.task, e.job});
-  }
-  return out;
-}
-
 constexpr int kStart = static_cast<int>(rt::EventKind::kStart);
 constexpr int kAttemptFail = static_cast<int>(rt::EventKind::kAttemptFail);
 constexpr int kJobFail = static_cast<int>(rt::EventKind::kJobFail);
@@ -57,62 +46,25 @@ constexpr int kComplete = static_cast<int>(rt::EventKind::kComplete);
 constexpr int kModeSwitch = static_cast<int>(rt::EventKind::kModeSwitch);
 constexpr int kKill = static_cast<int>(rt::EventKind::kKill);
 
-rt::PosixTask make_task(std::string name, Tick period, Tick deadline,
-                        Tick wcet, Tick vd, CritLevel crit, int max_attempts,
-                        int adapt_threshold) {
-  rt::PosixTask t;
+rt::HostTask make_task(std::string name, Tick period, Tick deadline,
+                       Tick wcet, Tick vd, CritLevel crit, int max_attempts,
+                       int adapt_threshold) {
+  rt::HostTask t;
   t.name = std::move(name);
-  t.params.period = period;
-  t.params.deadline = deadline;
-  t.params.wcet = wcet;
-  t.params.virtual_deadline = vd;
-  t.params.crit = crit;
-  t.params.max_attempts = max_attempts;
-  t.params.adapt_threshold = adapt_threshold;
+  t.period = period;
+  t.deadline = deadline;
+  t.wcet = wcet;
+  t.virtual_deadline = vd;
+  t.crit = crit;
+  t.max_attempts = max_attempts;
+  t.adapt_threshold = adapt_threshold;
   return t;
 }
 
-// The simulator run equivalent to a PosixHost configuration (the same
-// mapping replay_through_sim applies).
-std::vector<Ev> sim_trace_of(const std::vector<rt::PosixTask>& tasks,
+// The simulator run equivalent to a PosixHost configuration.
+std::vector<Ev> sim_trace_of(const std::vector<rt::HostTask>& tasks,
                              const rt::PosixHostConfig& cfg) {
-  std::vector<sim::SimTask> sim_tasks;
-  for (const rt::PosixTask& p : tasks) {
-    sim::SimTask t;
-    t.name = p.name;
-    t.period = p.params.period;
-    t.deadline = p.params.deadline;
-    t.wcet = p.params.wcet;
-    t.crit = p.params.crit;
-    t.max_attempts = p.params.max_attempts;
-    t.adapt_threshold = p.params.adapt_threshold;
-    t.failure_prob = cfg.fault_model == rt::PosixFaultModel::kNone
-                         ? 0.0
-                         : p.failure_prob;
-    t.virtual_deadline = p.params.virtual_deadline;
-    t.segments = p.params.segments;
-    t.checkpoint_overhead = p.checkpoint_overhead;
-    sim_tasks.push_back(std::move(t));
-  }
-  sim::SimConfig sc;
-  sc.policy = sim::PolicyKind::kEdfVd;
-  sc.adaptation = cfg.core.adaptation == rt::Adaptation::kKilling
-                      ? ftmc::mcs::AdaptationKind::kKilling
-                  : cfg.core.adaptation == rt::Adaptation::kDegradation
-                      ? ftmc::mcs::AdaptationKind::kDegradation
-                      : ftmc::mcs::AdaptationKind::kNone;
-  sc.degradation_factor = cfg.core.degradation_factor;
-  sc.horizon = cfg.horizon;
-  sc.seed = cfg.seed;
-  sc.exec_model = sim::ExecTimeModel::kAlwaysWcet;
-  sc.fault_adversary = cfg.fault_model == rt::PosixFaultModel::kExhaustBudget
-                           ? sim::FaultAdversary::kExhaustBudget
-                           : sim::FaultAdversary::kBernoulli;
-  sc.mode_reset_on_idle = cfg.core.mode_reset_on_idle;
-  sc.trace_capacity = cfg.trace_capacity;
-  sim::Simulator simulator(std::move(sim_tasks), sc);
-  (void)simulator.run();
-  return normalize(simulator.trace());
+  return normalize(check::replay_sim_trace(tasks, cfg));
 }
 
 // Runs the POSIX host free-run and returns both normalized traces after
@@ -122,7 +74,7 @@ struct BothTraces {
   std::vector<Ev> des;
 };
 
-BothTraces run_both(const std::vector<rt::PosixTask>& tasks,
+BothTraces run_both(const std::vector<rt::HostTask>& tasks,
                     rt::PosixHostConfig cfg) {
   cfg.time_scale = 0.0;  // free-run: edge semantics, not pacing
   rt::PosixHost host(tasks, cfg);
@@ -153,17 +105,17 @@ bool has_event_before(const std::vector<Ev>& trace, std::size_t end, int kind,
 //    (The same scenario also produces the not-yet-started flavor: the LO
 //    job killed by the first switch before ever running.)
 TEST(RtHostEdge, LoJobKilledMidExecutionAtSwitchInstant) {
-  std::vector<rt::PosixTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       make_task("hi", 20'000, 20'000, 2'000, 6'000, CritLevel::HI,
                 /*max_attempts=*/2, /*adapt_threshold=*/1),
       make_task("lo", 24'000, 24'000, 18'000, 24'000, CritLevel::LO,
                 /*max_attempts=*/1, /*adapt_threshold=*/1),
   };
   rt::PosixHostConfig cfg;
-  cfg.core.adaptation = rt::Adaptation::kKilling;
+  cfg.core.adaptation = ftmc::AdaptationKind::kKilling;
   cfg.core.mode_reset_on_idle = true;  // re-admit LO between switches
   cfg.horizon = 60'000;
-  cfg.fault_model = rt::PosixFaultModel::kExhaustBudget;
+  cfg.fault_model = rt::FaultModel::kExhaustBudget;
   const BothTraces both = run_both(tasks, cfg);
 
   const auto check_trace = [](const std::vector<Ev>& trace,
@@ -204,19 +156,19 @@ TEST(RtHostEdge, LoJobKilledMidExecutionAtSwitchInstant) {
 TEST(RtHostEdge, FaultExactlyAtVirtualDeadline) {
   // WCET == VD, adversarial fault on the first attempt: the segment ends
   // (and faults) precisely when the job's virtual deadline expires.
-  std::vector<rt::PosixTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       make_task("hi", 10'000, 10'000, 2'000, 2'000, CritLevel::HI,
                 /*max_attempts=*/2, /*adapt_threshold=*/1),
       make_task("lo", 10'000, 10'000, 1'000, 10'000, CritLevel::LO,
                 /*max_attempts=*/1, /*adapt_threshold=*/1),
   };
   rt::PosixHostConfig cfg;
-  cfg.core.adaptation = rt::Adaptation::kKilling;
+  cfg.core.adaptation = ftmc::AdaptationKind::kKilling;
   cfg.horizon = 30'000;
-  cfg.fault_model = rt::PosixFaultModel::kExhaustBudget;
+  cfg.fault_model = rt::FaultModel::kExhaustBudget;
   const BothTraces both = run_both(tasks, cfg);
 
-  const Tick vd = tasks[0].params.virtual_deadline;
+  const Tick vd = tasks[0].virtual_deadline;
   const auto check_trace = [vd](const std::vector<Ev>& trace,
                                 const char* which) {
     // Find the first attempt-fail of the HI task; it must land exactly at
@@ -242,19 +194,19 @@ TEST(RtHostEdge, FaultExactlyAtVirtualDeadline) {
 //    every attempt faults emits exactly max_attempts kAttemptFail events
 //    spaced one segment WCET apart, then kJobFail — and never completes.
 TEST(RtHostEdge, BackToBackFaultsExhaustBudget) {
-  std::vector<rt::PosixTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       make_task("hi", 5'000, 5'000, 500, 5'000, CritLevel::HI,
                 /*max_attempts=*/3, /*adapt_threshold=*/99),
   };
   tasks[0].failure_prob = 0.95;  // virtually every attempt faults
   rt::PosixHostConfig cfg;
-  cfg.core.adaptation = rt::Adaptation::kNone;
+  cfg.core.adaptation = ftmc::AdaptationKind::kNone;
   cfg.horizon = 100'000;
   cfg.seed = 7;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   const BothTraces both = run_both(tasks, cfg);
 
-  const Tick wcet = tasks[0].params.wcet;
+  const Tick wcet = tasks[0].wcet;
   const auto check_trace = [wcet](const std::vector<Ev>& trace,
                                   const char* which) {
     std::size_t exhausted = 0;

@@ -132,17 +132,17 @@ std::uint64_t drive(rt::Core& core, Tick horizon) {
   return completed;
 }
 
-class RtNoAlloc : public ::testing::TestWithParam<rt::Adaptation> {};
+class RtNoAlloc : public ::testing::TestWithParam<ftmc::AdaptationKind> {};
 
 }  // namespace
 
 TEST_P(RtNoAlloc, NoHeapAllocationAfterStart) {
   StaticHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdfVd;
+  cfg.policy = ftmc::PolicyKind::kEdfVd;
   cfg.adaptation = GetParam();
   cfg.degradation_factor =
-      GetParam() == rt::Adaptation::kDegradation ? 4.0 : 1.0;
+      GetParam() == ftmc::AdaptationKind::kDegradation ? 4.0 : 1.0;
   cfg.mode_reset_on_idle = true;  // exercise both switch directions
   cfg.max_jobs = 16;
   cfg.allow_job_growth = false;   // the embedded-target contract
@@ -187,6 +187,6 @@ TEST_P(RtNoAlloc, NoHeapAllocationAfterStart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAdaptations, RtNoAlloc,
-                         ::testing::Values(rt::Adaptation::kNone,
-                                           rt::Adaptation::kKilling,
-                                           rt::Adaptation::kDegradation));
+                         ::testing::Values(ftmc::AdaptationKind::kNone,
+                                           ftmc::AdaptationKind::kKilling,
+                                           ftmc::AdaptationKind::kDegradation));

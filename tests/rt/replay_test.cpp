@@ -1,6 +1,6 @@
 // Tests of the differential trace-replay machinery (check/replay.hpp):
-// the sim-task round trip, replay identity on the FMS case study, the
-// diff's ability to actually detect divergences, and the registered
+// replay identity on the FMS case study, the diff's ability to actually
+// detect divergences (in any event field), and the registered
 // trace-replay properties on a concrete case.
 #include "ftmc/check/replay.hpp"
 
@@ -16,58 +16,34 @@ namespace fms = ftmc::fms;
 
 namespace {
 
-std::vector<rt::PosixTask> fms_posix_tasks(double fault_prob) {
-  std::vector<rt::PosixTask> tasks = check::posix_tasks_from_sim(
-      sim::build_sim_tasks(fms::canonical_fms_instance(), /*n_hi=*/3,
-                           /*n_lo=*/2, /*n_adapt=*/2,
-                           /*virtual_deadline_factor=*/0.7));
-  for (rt::PosixTask& t : tasks) t.failure_prob = fault_prob;
+std::vector<rt::HostTask> fms_posix_tasks(double fault_prob) {
+  std::vector<rt::HostTask> tasks = sim::build_sim_tasks(
+      fms::canonical_fms_instance(), /*n_hi=*/3, /*n_lo=*/2, /*n_adapt=*/2,
+      /*virtual_deadline_factor=*/0.7);
+  for (rt::HostTask& t : tasks) t.failure_prob = fault_prob;
   return tasks;
 }
 
 rt::PosixHostConfig fms_config() {
   rt::PosixHostConfig cfg;
-  cfg.core.policy = rt::Policy::kEdfVd;
-  cfg.core.adaptation = rt::Adaptation::kDegradation;
+  cfg.core.policy = ftmc::PolicyKind::kEdfVd;
+  cfg.core.adaptation = ftmc::AdaptationKind::kDegradation;
   cfg.core.degradation_factor = fms::kFmsDegradationFactor;
   cfg.core.mode_reset_on_idle = true;
   cfg.horizon = 2'000'000;  // 2 simulated seconds
   cfg.time_scale = 0.0;     // free-run
   cfg.seed = 42;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   cfg.trace_capacity = 200'000;
   return cfg;
 }
 
 }  // namespace
 
-TEST(RtReplay, SimTaskRoundTripPreservesAllFields) {
-  const std::vector<sim::SimTask> sim_tasks = sim::build_sim_tasks(
-      fms::canonical_fms_instance(), 3, 2, 2, 0.7);
-  const std::vector<rt::PosixTask> posix = check::posix_tasks_from_sim(sim_tasks);
-  ASSERT_EQ(posix.size(), sim_tasks.size());
-  for (std::size_t i = 0; i < posix.size(); ++i) {
-    const sim::SimTask& s = sim_tasks[i];
-    const rt::PosixTask& p = posix[i];
-    EXPECT_EQ(p.name, s.name);
-    EXPECT_EQ(p.params.period, s.period);
-    EXPECT_EQ(p.params.deadline, s.deadline);
-    EXPECT_EQ(p.params.wcet, s.wcet);
-    EXPECT_EQ(p.params.virtual_deadline, s.virtual_deadline);
-    EXPECT_EQ(p.params.crit, s.crit);
-    EXPECT_EQ(p.params.max_attempts, s.max_attempts);
-    EXPECT_EQ(p.params.adapt_threshold, s.adapt_threshold);
-    EXPECT_EQ(p.params.priority, s.priority);
-    EXPECT_EQ(p.params.segments, s.segments);
-    EXPECT_DOUBLE_EQ(p.failure_prob, s.failure_prob);
-    EXPECT_DOUBLE_EQ(p.checkpoint_overhead, s.checkpoint_overhead);
-  }
-}
-
 TEST(RtReplay, FmsRunReplaysIdentically) {
   // n' = 2 for the FMS instance, so the switch needs two faults within
   // one job: inflate the per-attempt fault probability accordingly.
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.35);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.35);
   const rt::PosixHostConfig cfg = fms_config();
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
@@ -85,7 +61,7 @@ TEST(RtReplay, FmsRunReplaysIdentically) {
 }
 
 TEST(RtReplay, DetectsASingleMutatedEvent) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config();
   rt::PosixHost host(tasks, cfg);
   rt::PosixResult result = host.run();
@@ -100,8 +76,27 @@ TEST(RtReplay, DetectsASingleMutatedEvent) {
   EXPECT_NE(diff.message.find("diverges"), std::string::npos) << diff.message;
 }
 
+TEST(RtReplay, DetectsADivergentAbsoluteDeadline) {
+  // Replay compares whole events: a trace that differs only in one job's
+  // virtual-deadline bookkeeping must not pass as identical.
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.05);
+  const rt::PosixHostConfig cfg = fms_config();
+  rt::PosixHost host(tasks, cfg);
+  rt::PosixResult result = host.run();
+  ASSERT_GT(result.trace.size(), 10u);
+
+  std::size_t victim = result.trace.size() / 2;
+  while (result.trace[victim].kind != rt::EventKind::kRelease) ++victim;
+  result.trace[victim].abs_deadline += 1;
+  const check::ReplayDiff diff =
+      check::replay_through_sim(tasks, cfg, result.trace);
+  EXPECT_FALSE(diff.identical);
+  EXPECT_EQ(diff.first_divergence, victim);
+  EXPECT_NE(diff.message.find("diverges"), std::string::npos) << diff.message;
+}
+
 TEST(RtReplay, DetectsATruncatedTrace) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::HostTask> tasks = fms_posix_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config();
   rt::PosixHost host(tasks, cfg);
   rt::PosixResult result = host.run();

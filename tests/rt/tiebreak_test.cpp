@@ -66,7 +66,7 @@ TEST(RtTieBreak, EarlierKeyDominatesEverything) {
   // criticality is only a tie-breaker, never a priority boost.
   OrderHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdf;
+  cfg.policy = ftmc::PolicyKind::kEdf;
   rt::Core core(cfg, host);
   core.add_task(task(500, CritLevel::HI));
   core.add_task(task(100, CritLevel::LO));
@@ -84,7 +84,7 @@ TEST(RtTieBreak, EqualKeyHiBeforeLo) {
   // task id (so this really is the criticality rule, not table order).
   OrderHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdf;
+  cfg.policy = ftmc::PolicyKind::kEdf;
   rt::Core core(cfg, host);
   core.add_task(task(100, CritLevel::LO));
   core.add_task(task(100, CritLevel::HI));
@@ -100,7 +100,7 @@ TEST(RtTieBreak, EqualKeyHiBeforeLo) {
 TEST(RtTieBreak, EqualKeyEqualCritLowerTaskIdFirst) {
   OrderHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdf;
+  cfg.policy = ftmc::PolicyKind::kEdf;
   rt::Core core(cfg, host);
   core.add_task(task(100, CritLevel::LO));
   core.add_task(task(100, CritLevel::LO));
@@ -122,7 +122,7 @@ TEST(RtTieBreak, SameTaskFifoByJobId) {
   // keys every job of a task identically): earlier job id runs first.
   OrderHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kFixedPriority;
+  cfg.policy = ftmc::PolicyKind::kFixedPriority;
   rt::Core core(cfg, host);
   core.add_task(task(1000, CritLevel::LO, /*priority=*/5));
   core.start();
@@ -140,7 +140,7 @@ TEST(RtTieBreak, EdfVdTieOnVirtualDeadline) {
   // key and the HI job wins.
   OrderHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdfVd;
+  cfg.policy = ftmc::PolicyKind::kEdfVd;
   rt::Core core(cfg, host);
   rt::TaskParams lo = task(300, CritLevel::LO);
   rt::TaskParams hi = task(600, CritLevel::HI);
@@ -161,7 +161,7 @@ TEST(RtTieBreak, JobBeforeIsAStrictTotalOrderOnTheReadySet) {
   // and total (exactly one of a<b / b<a for distinct jobs).
   OrderHost host;
   rt::CoreConfig cfg;
-  cfg.policy = rt::Policy::kEdf;
+  cfg.policy = ftmc::PolicyKind::kEdf;
   rt::Core core(cfg, host);
   core.add_task(task(100, CritLevel::LO));
   core.add_task(task(100, CritLevel::HI));

@@ -9,9 +9,9 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask ckpt_task(Tick period, Tick wcet, int segments, int retry_budget,
-                  double f, double overhead = 0.0) {
-  SimTask t;
+rt::HostTask ckpt_task(Tick period, Tick wcet, int segments, int retry_budget,
+                       double f, double overhead = 0.0) {
+  rt::HostTask t;
   t.name = "c";
   t.period = period;
   t.deadline = period;
@@ -108,8 +108,8 @@ TEST(CheckpointSim, MoreSegmentsRecoverMoreJobsAtEqualBudget) {
                   edf(100'000'000, 11));
     return sim.run().per_task[0];
   };
-  const TaskStats whole = run(1);
-  const TaskStats split = run(4);
+  const rt::TaskCounters whole = run(1);
+  const rt::TaskCounters split = run(4);
   EXPECT_GE(split.completed, whole.completed);
   EXPECT_LE(split.deadline_misses, whole.deadline_misses);
 }
@@ -130,7 +130,7 @@ TEST(CheckpointSim, WorstCaseBudgetNeverExceeded) {
 }
 
 TEST(CheckpointSim, RejectsMalformedSegments) {
-  SimTask bad = ckpt_task(10'000, 1'000, 0, 1, 0.1);
+  rt::HostTask bad = ckpt_task(10'000, 1'000, 0, 1, 0.1);
   EXPECT_THROW(Simulator({bad}, edf(1'000)), ContractViolation);
   bad = ckpt_task(10'000, 1'000, 2, 1, 0.1);
   bad.checkpoint_overhead = 1.0;

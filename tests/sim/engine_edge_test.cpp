@@ -7,10 +7,10 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask task(const std::string& name, Tick period, Tick wcet,
-             CritLevel crit = CritLevel::LO, int max_attempts = 1,
-             int adapt_threshold = 1, double f = 0.0) {
-  SimTask t;
+rt::HostTask task(const std::string& name, Tick period, Tick wcet,
+                  CritLevel crit = CritLevel::LO, int max_attempts = 1,
+                  int adapt_threshold = 1, double f = 0.0) {
+  rt::HostTask t;
   t.name = name;
   t.period = period;
   t.deadline = period;
@@ -58,7 +58,7 @@ TEST(EngineEdge, DegradationEndsAtModeReset) {
   // counts.
   SimConfig c;
   c.policy = PolicyKind::kEdfVd;
-  c.adaptation = mcs::AdaptationKind::kDegradation;
+  c.adaptation = AdaptationKind::kDegradation;
   c.degradation_factor = 4.0;
   c.mode_reset_on_idle = true;
   c.horizon = 10'000'000;
@@ -80,7 +80,7 @@ TEST(EngineEdge, KillResetKillCycleCountsEachSwitch) {
   // task still makes progress between switches.
   SimConfig c;
   c.policy = PolicyKind::kEdfVd;
-  c.adaptation = mcs::AdaptationKind::kKilling;
+  c.adaptation = AdaptationKind::kKilling;
   c.mode_reset_on_idle = true;
   c.horizon = 1'000'000;
   Simulator sim({task("hi", 10'000, 10, CritLevel::HI, 2, 0),
@@ -95,8 +95,8 @@ TEST(EngineEdge, KillResetKillCycleCountsEachSwitch) {
 TEST(EngineEdge, FixedPriorityTieBreaksByReleaseThenIndex) {
   // Two tasks with equal priority released together: the earlier index
   // wins the first slot; both still complete.
-  SimTask a = task("a", 1000, 100);
-  SimTask b = task("b", 1000, 100);
+  rt::HostTask a = task("a", 1000, 100);
+  rt::HostTask b = task("b", 1000, 100);
   a.priority = 5;
   b.priority = 5;
   SimConfig c;
@@ -107,8 +107,8 @@ TEST(EngineEdge, FixedPriorityTieBreaksByReleaseThenIndex) {
   const SimStats s = sim.run();
   EXPECT_EQ(s.per_task[0].completed, 1u);
   EXPECT_EQ(s.per_task[1].completed, 1u);
-  for (const TraceEvent& ev : sim.trace()) {
-    if (ev.kind == TraceKind::kStart) {
+  for (const rt::Event& ev : sim.trace()) {
+    if (ev.kind == rt::EventKind::kStart) {
       EXPECT_EQ(ev.task, 0u);
       break;
     }
@@ -121,15 +121,15 @@ TEST(EngineEdge, ModeSwitchReordersReadyQueueInstantly) {
   // opposite: HI job with LATE virtual deadline loses to LO pre-switch;
   // at the switch the HI job's true deadline (earlier than LO's) takes
   // over and it must win the processor immediately.
-  SimTask hi = task("hi", 10'000, 500, CritLevel::HI, 50, 1, 0.9);
+  rt::HostTask hi = task("hi", 10'000, 500, CritLevel::HI, 50, 1, 0.9);
   hi.deadline = 8'000;
   hi.virtual_deadline = 8'000;  // x = 1: no VD advantage pre-switch
-  SimTask lo = task("lo", 9'000, 1'000);
+  rt::HostTask lo = task("lo", 9'000, 1'000);
   lo.deadline = 3'500;  // beats the HI job in LO mode
   lo.virtual_deadline = 3'500;
   SimConfig c;
   c.policy = PolicyKind::kEdfVd;
-  c.adaptation = mcs::AdaptationKind::kKilling;
+  c.adaptation = AdaptationKind::kKilling;
   c.horizon = 9'000;
   c.trace_capacity = 1000;
   Simulator sim({hi, lo}, c);
@@ -159,7 +159,7 @@ TEST(EngineEdge, ZeroUtilizationIdleGapsHandled) {
 TEST(EngineEdge, ManyTasksStressDispatch) {
   // 64 tasks at ~1.2% each: the O(n) ready-scan must stay correct under
   // heavy interleaving (checked via zero misses and full completions).
-  std::vector<SimTask> tasks;
+  std::vector<rt::HostTask> tasks;
   for (int i = 0; i < 64; ++i) {
     std::string name = "t";
     name += std::to_string(i);

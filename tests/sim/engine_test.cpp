@@ -7,10 +7,10 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask task(const std::string& name, Tick period, Tick wcet,
-             CritLevel crit = CritLevel::LO, int max_attempts = 1,
-             int adapt_threshold = 1, double f = 0.0) {
-  SimTask t;
+rt::HostTask task(const std::string& name, Tick period, Tick wcet,
+                  CritLevel crit = CritLevel::LO, int max_attempts = 1,
+                  int adapt_threshold = 1, double f = 0.0) {
+  rt::HostTask t;
   t.name = name;
   t.period = period;
   t.deadline = period;
@@ -59,8 +59,8 @@ TEST(SimEngine, EdfPrefersEarlierDeadline) {
   sim.run();
   const auto& trace = sim.trace();
   // First start event must be the short-deadline task (index 1).
-  for (const TraceEvent& ev : trace) {
-    if (ev.kind == TraceKind::kStart) {
+  for (const rt::Event& ev : trace) {
+    if (ev.kind == rt::EventKind::kStart) {
       EXPECT_EQ(ev.task, 1u);
       break;
     }
@@ -70,8 +70,8 @@ TEST(SimEngine, EdfPrefersEarlierDeadline) {
 TEST(SimEngine, PreemptionOccursAndIsCounted) {
   // Long job starts alone at 0, short-deadline task arrives at 500 and
   // preempts it.
-  SimTask long_task = task("long", 10'000, 2'000);
-  SimTask short_task = task("short", 700, 100);
+  rt::HostTask long_task = task("long", 10'000, 2'000);
+  rt::HostTask short_task = task("short", 700, 100);
   // Shift the short task by making its first release at 0 too — EDF will
   // still run short first then long, and the next short release at 700
   // preempts the long job.
@@ -95,7 +95,7 @@ TEST(SimEngine, DeterministicAcrossRuns) {
   const auto run_once = [] {
     SimConfig c = edf_config(1'000'000);
     c.seed = 99;
-    SimTask t = task("x", 1000, 100, CritLevel::LO, 3, 3, 0.3);
+    rt::HostTask t = task("x", 1000, 100, CritLevel::LO, 3, 3, 0.3);
     Simulator sim({t}, c);
     return sim.run();
   };
@@ -147,9 +147,9 @@ TEST(SimEngine, SporadicArrivalsReleaseFewerJobs) {
 TEST(SimEngine, FixedPriorityHonorsPriorities) {
   // Lower priority value = more important. Give the long task the top
   // priority: the short task must miss.
-  SimTask hog = task("hog", 1000, 800);
+  rt::HostTask hog = task("hog", 1000, 800);
   hog.priority = 0;
-  SimTask victim = task("victim", 500, 300);
+  rt::HostTask victim = task("victim", 500, 300);
   victim.priority = 1;
   SimConfig c;
   c.policy = PolicyKind::kFixedPriority;
@@ -170,7 +170,7 @@ TEST(SimEngine, RejectsMalformedConfig) {
   c.horizon = 0;
   EXPECT_THROW(Simulator({task("x", 1000, 100)}, c), ContractViolation);
   EXPECT_THROW(Simulator({}, edf_config(1000)), ContractViolation);
-  SimTask bad = task("x", 1000, 100);
+  rt::HostTask bad = task("x", 1000, 100);
   bad.failure_prob = 1.0;
   EXPECT_THROW(Simulator({bad}, edf_config(1000)), ContractViolation);
 }

@@ -7,9 +7,9 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask task(Tick period, Tick wcet, int max_attempts, double f,
-             CritLevel crit = CritLevel::LO, int adapt_threshold = -1) {
-  SimTask t;
+rt::HostTask task(Tick period, Tick wcet, int max_attempts, double f,
+                  CritLevel crit = CritLevel::LO, int adapt_threshold = -1) {
+  rt::HostTask t;
   t.name = "t";
   t.period = period;
   t.deadline = period;

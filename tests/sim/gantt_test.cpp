@@ -20,11 +20,11 @@ std::vector<std::string> lines(const std::string& text) {
 
 TEST(Gantt, RendersHandcraftedTrace) {
   // Task 0 runs [0, 50), task 1 runs [50, 100).
-  const std::vector<TraceEvent> trace = {
-      {0, TraceKind::kStart, 0, 0, 1},
-      {50, TraceKind::kComplete, 0, 0, 0},
-      {50, TraceKind::kStart, 1, 0, 1},
-      {100, TraceKind::kComplete, 1, 0, 0},
+  const std::vector<rt::Event> trace = {
+      {0, rt::EventKind::kStart, 0, 0, 1},
+      {50, rt::EventKind::kComplete, 0, 0, 0},
+      {50, rt::EventKind::kStart, 1, 0, 1},
+      {100, rt::EventKind::kComplete, 1, 0, 0},
   };
   GanttOptions opt;
   opt.from = 0;
@@ -39,13 +39,13 @@ TEST(Gantt, RendersHandcraftedTrace) {
 
 TEST(Gantt, PreemptionSplitsExecution) {
   // Task 0 runs [0,30), preempted by task 1 [30,60), resumes [60,90).
-  const std::vector<TraceEvent> trace = {
-      {0, TraceKind::kStart, 0, 0, 1},
-      {30, TraceKind::kPreempt, 0, 0, 0},
-      {30, TraceKind::kStart, 1, 0, 1},
-      {60, TraceKind::kComplete, 1, 0, 0},
-      {60, TraceKind::kStart, 0, 0, 1},
-      {90, TraceKind::kComplete, 0, 0, 0},
+  const std::vector<rt::Event> trace = {
+      {0, rt::EventKind::kStart, 0, 0, 1},
+      {30, rt::EventKind::kPreempt, 0, 0, 0},
+      {30, rt::EventKind::kStart, 1, 0, 1},
+      {60, rt::EventKind::kComplete, 1, 0, 0},
+      {60, rt::EventKind::kStart, 0, 0, 1},
+      {90, rt::EventKind::kComplete, 0, 0, 0},
   };
   GanttOptions opt;
   opt.from = 0;
@@ -57,11 +57,11 @@ TEST(Gantt, PreemptionSplitsExecution) {
 }
 
 TEST(Gantt, MarksKillAndModeSwitch) {
-  const std::vector<TraceEvent> trace = {
-      {0, TraceKind::kStart, 0, 0, 1},
-      {40, TraceKind::kModeSwitch, 0, 0, 0},
-      {40, TraceKind::kKill, 1, 0, 0},
-      {80, TraceKind::kComplete, 0, 0, 0},
+  const std::vector<rt::Event> trace = {
+      {0, rt::EventKind::kStart, 0, 0, 1},
+      {40, rt::EventKind::kModeSwitch, 0, 0, 0},
+      {40, rt::EventKind::kKill, 1, 0, 0},
+      {80, rt::EventKind::kComplete, 0, 0, 0},
   };
   GanttOptions opt;
   opt.from = 0;
@@ -73,9 +73,9 @@ TEST(Gantt, MarksKillAndModeSwitch) {
 }
 
 TEST(Gantt, ModeResetClosesHiRegion) {
-  const std::vector<TraceEvent> trace = {
-      {10, TraceKind::kModeSwitch, 0, 0, 0},
-      {50, TraceKind::kModeReset, 0, 0, 0},
+  const std::vector<rt::Event> trace = {
+      {10, rt::EventKind::kModeSwitch, 0, 0, 0},
+      {50, rt::EventKind::kModeReset, 0, 0, 0},
   };
   GanttOptions opt;
   opt.from = 0;
@@ -86,9 +86,9 @@ TEST(Gantt, ModeResetClosesHiRegion) {
 }
 
 TEST(Gantt, WindowClipsEvents) {
-  const std::vector<TraceEvent> trace = {
-      {0, TraceKind::kStart, 0, 0, 1},
-      {1000, TraceKind::kComplete, 0, 0, 0},
+  const std::vector<rt::Event> trace = {
+      {0, rt::EventKind::kStart, 0, 0, 1},
+      {1000, rt::EventKind::kComplete, 0, 0, 0},
   };
   GanttOptions opt;
   opt.from = 200;
@@ -99,13 +99,13 @@ TEST(Gantt, WindowClipsEvents) {
 }
 
 TEST(Gantt, RealTraceFromSimulator) {
-  SimTask a;
+  rt::HostTask a;
   a.name = "a";
   a.period = 1000;
   a.deadline = 1000;
   a.wcet = 400;
   a.virtual_deadline = 1000;
-  SimTask b = a;
+  rt::HostTask b;
   b.name = "b";
   b.period = 500;
   b.wcet = 100;

@@ -5,9 +5,9 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask hi_task(Tick period, Tick wcet, int max_attempts,
-                int adapt_threshold, double f) {
-  SimTask t;
+rt::HostTask hi_task(Tick period, Tick wcet, int max_attempts,
+                     int adapt_threshold, double f) {
+  rt::HostTask t;
   t.name = "hi";
   t.period = period;
   t.deadline = period;
@@ -20,8 +20,8 @@ SimTask hi_task(Tick period, Tick wcet, int max_attempts,
   return t;
 }
 
-SimTask lo_task(Tick period, Tick wcet) {
-  SimTask t;
+rt::HostTask lo_task(Tick period, Tick wcet) {
+  rt::HostTask t;
   t.name = "lo";
   t.period = period;
   t.deadline = period;
@@ -34,7 +34,7 @@ SimTask lo_task(Tick period, Tick wcet) {
   return t;
 }
 
-SimConfig config(mcs::AdaptationKind kind, Tick horizon,
+SimConfig config(AdaptationKind kind, Tick horizon,
                  double df = 1.0) {
   SimConfig c;
   c.policy = PolicyKind::kEdfVd;
@@ -49,7 +49,7 @@ TEST(ModeSwitch, HighFailureTriggersSwitch) {
   // f = 0.9, n' = 1: the second attempt of a HI job (prob 0.9 per job)
   // triggers the switch almost immediately.
   Simulator sim({hi_task(1000, 10, 3, 1, 0.9), lo_task(500, 10)},
-                config(mcs::AdaptationKind::kKilling, 10'000'000));
+                config(AdaptationKind::kKilling, 10'000'000));
   const SimStats s = sim.run();
   EXPECT_EQ(s.mode_switches, 1u);  // latched: exactly one transition
   EXPECT_LT(s.first_mode_switch, 100'000);
@@ -58,7 +58,7 @@ TEST(ModeSwitch, HighFailureTriggersSwitch) {
 TEST(ModeSwitch, NeverTriggersWhenThresholdEqualsMaxAttempts) {
   // n' = n: a job never *starts* an (n+1)-th attempt.
   Simulator sim({hi_task(1000, 10, 3, 3, 0.9), lo_task(500, 10)},
-                config(mcs::AdaptationKind::kKilling, 10'000'000));
+                config(AdaptationKind::kKilling, 10'000'000));
   const SimStats s = sim.run();
   EXPECT_EQ(s.mode_switches, 0u);
   EXPECT_EQ(s.per_task[1].killed, 0u);
@@ -67,7 +67,7 @@ TEST(ModeSwitch, NeverTriggersWhenThresholdEqualsMaxAttempts) {
 
 TEST(ModeSwitch, ThresholdZeroSwitchesAtFirstHiRelease) {
   Simulator sim({hi_task(1000, 10, 2, 0, 0.0), lo_task(500, 10)},
-                config(mcs::AdaptationKind::kKilling, 1'000'000));
+                config(AdaptationKind::kKilling, 1'000'000));
   const SimStats s = sim.run();
   EXPECT_EQ(s.mode_switches, 1u);
   EXPECT_EQ(s.first_mode_switch, 0);
@@ -77,7 +77,7 @@ TEST(ModeSwitch, ImmediateSwitchSuppressesLoTasksEntirely) {
   // Threshold 0 with the HI task releasing first at t=0: the switch fires
   // before the simultaneous LO release, so no LO job ever exists.
   Simulator sim({hi_task(1000, 10, 3, 0, 0.0), lo_task(500, 10)},
-                config(mcs::AdaptationKind::kKilling, 10'000'000));
+                config(AdaptationKind::kKilling, 10'000'000));
   const SimStats s = sim.run();
   EXPECT_EQ(s.per_task[1].released, 0u);
   EXPECT_EQ(s.per_task[1].completed, 0u);
@@ -91,7 +91,7 @@ TEST(ModeSwitch, KillingDiscardsAlreadyReleasedLoJobs) {
   // attempt (f = 0.999) at t = 10 and kills the LO job released at t = 0
   // (whose WCET of 5000 keeps it pending).
   Simulator sim({hi_task(1000, 10, 3, 1, 0.999), lo_task(100'000, 5'000)},
-                config(mcs::AdaptationKind::kKilling, 10'000'000));
+                config(AdaptationKind::kKilling, 10'000'000));
   const SimStats s = sim.run();
   ASSERT_EQ(s.mode_switches, 1u);
   EXPECT_EQ(s.per_task[1].released, 1u);
@@ -102,7 +102,7 @@ TEST(ModeSwitch, KillingDiscardsAlreadyReleasedLoJobs) {
 TEST(ModeSwitch, DegradationStretchesLoPeriods) {
   const Tick horizon = 100'000'000;
   Simulator sim({hi_task(1000, 10, 3, 0, 0.0), lo_task(1000, 10)},
-                config(mcs::AdaptationKind::kDegradation, horizon, 4.0));
+                config(AdaptationKind::kDegradation, horizon, 4.0));
   const SimStats s = sim.run();
   // Switch at t=0: LO releases at ~4000-tick spacing instead of 1000.
   const double expected = static_cast<double>(horizon) / 4000.0;
@@ -118,7 +118,7 @@ TEST(ModeSwitch, DegradationKeepsCurrentLoJobRunning) {
   // (HI fails its first attempt, n' = 1). Under degradation (unlike
   // killing) the already-released job still completes.
   Simulator sim({hi_task(1000, 10, 3, 1, 0.999), lo_task(100'000, 5'000)},
-                config(mcs::AdaptationKind::kDegradation, 50'000, 4.0));
+                config(AdaptationKind::kDegradation, 50'000, 4.0));
   const SimStats s = sim.run();
   ASSERT_EQ(s.mode_switches, 1u);
   EXPECT_EQ(s.per_task[1].released, 1u);
@@ -127,7 +127,7 @@ TEST(ModeSwitch, DegradationKeepsCurrentLoJobRunning) {
 }
 
 TEST(ModeSwitch, ModeResetOnIdleReadmitsLoTasks) {
-  SimConfig c = config(mcs::AdaptationKind::kKilling, 10'000'000);
+  SimConfig c = config(AdaptationKind::kKilling, 10'000'000);
   c.mode_reset_on_idle = true;
   // HI task fails its first attempt with p=0.5 and may trigger (n'=1);
   // after the burst drains, the processor idles and LO resumes.
@@ -149,7 +149,7 @@ TEST(ModeSwitch, DegradationStretchesLoDeadlinesToo) {
   // service against an undegraded deadline of 1000 but a degraded one
   // of 4000 -> zero misses.
   Simulator sim({hi_task(10'000, 10, 3, 0, 0.0), lo_task(1'000, 1'500)},
-                config(mcs::AdaptationKind::kDegradation, 20'000, 4.0));
+                config(AdaptationKind::kDegradation, 20'000, 4.0));
   const SimStats s = sim.run();
   ASSERT_EQ(s.mode_switches, 1u);
   EXPECT_GE(s.per_task[1].completed, 1u);
@@ -157,7 +157,7 @@ TEST(ModeSwitch, DegradationStretchesLoDeadlinesToo) {
 }
 
 TEST(ModeSwitch, LatchedModeWithoutResetOption) {
-  SimConfig c = config(mcs::AdaptationKind::kKilling, 10'000'000);
+  SimConfig c = config(AdaptationKind::kKilling, 10'000'000);
   c.seed = 3;
   Simulator sim({hi_task(1000, 10, 3, 1, 0.5), lo_task(500, 10)}, c);
   const SimStats s = sim.run();
@@ -168,14 +168,14 @@ TEST(ModeSwitch, LatchedModeWithoutResetOption) {
 TEST(ModeSwitch, EdfVdUsesVirtualDeadlinesInLoMode) {
   // HI task with a tiny virtual deadline must run before a LO task whose
   // absolute deadline is earlier than the HI task's true deadline.
-  SimTask hi = hi_task(10'000, 100, 1, 1, 0.0);
+  rt::HostTask hi = hi_task(10'000, 100, 1, 1, 0.0);
   hi.virtual_deadline = 500;  // x ~ 0.05
-  SimTask lo = lo_task(2'000, 100);
-  SimConfig c = config(mcs::AdaptationKind::kKilling, 10'000);
+  rt::HostTask lo = lo_task(2'000, 100);
+  SimConfig c = config(AdaptationKind::kKilling, 10'000);
   Simulator sim({hi, lo}, c);
   sim.run();
-  for (const TraceEvent& ev : sim.trace()) {
-    if (ev.kind == TraceKind::kStart) {
+  for (const rt::Event& ev : sim.trace()) {
+    if (ev.kind == rt::EventKind::kStart) {
       EXPECT_EQ(ev.task, 0u);  // HI first despite later true deadline
       break;
     }
@@ -184,12 +184,12 @@ TEST(ModeSwitch, EdfVdUsesVirtualDeadlinesInLoMode) {
 
 TEST(ModeSwitch, TraceContainsSwitchAndKillEvents) {
   Simulator sim({hi_task(1000, 10, 3, 1, 0.999), lo_task(100'000, 5'000)},
-                config(mcs::AdaptationKind::kKilling, 1'000'000));
+                config(AdaptationKind::kKilling, 1'000'000));
   sim.run();
   bool saw_switch = false, saw_kill = false;
-  for (const TraceEvent& ev : sim.trace()) {
-    saw_switch |= ev.kind == TraceKind::kModeSwitch;
-    saw_kill |= ev.kind == TraceKind::kKill;
+  for (const rt::Event& ev : sim.trace()) {
+    saw_switch |= ev.kind == rt::EventKind::kModeSwitch;
+    saw_kill |= ev.kind == rt::EventKind::kKill;
   }
   EXPECT_TRUE(saw_switch);
   EXPECT_TRUE(saw_kill);

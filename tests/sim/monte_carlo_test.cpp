@@ -11,9 +11,10 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask task(const std::string& name, Tick period, Tick wcet, CritLevel crit,
-             int max_attempts, int adapt_threshold, double f) {
-  SimTask t;
+rt::HostTask task(const std::string& name, Tick period, Tick wcet,
+                  CritLevel crit, int max_attempts, int adapt_threshold,
+                  double f) {
+  rt::HostTask t;
   t.name = name;
   t.period = period;
   t.deadline = period;
@@ -67,11 +68,11 @@ TEST(MonteCarlo, TriggerRateBracketsTrueProbability) {
   // Single HI task, n' = 1, f = 0.1, mission = 10 rounds: true trigger
   // probability = 1 - (1-0.1)^10 ~ 0.651. The 95% interval over 300
   // missions must contain it.
-  std::vector<SimTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       task("h", 100'000, 1'000, CritLevel::HI, 3, 1, 0.1)};
   SimConfig cfg;
   cfg.policy = PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.adaptation = AdaptationKind::kKilling;
   MonteCarloOptions opt;
   opt.missions = 300;
   // 10 first attempts complete strictly inside [0, horizon): the last
@@ -86,7 +87,7 @@ TEST(MonteCarlo, TriggerRateBracketsTrueProbability) {
 }
 
 TEST(MonteCarlo, JobFailureRateMatchesFPowerN) {
-  std::vector<SimTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       task("l", 10'000, 100, CritLevel::LO, 2, 2, 0.2)};
   SimConfig cfg;
   cfg.policy = PolicyKind::kEdf;
@@ -123,7 +124,7 @@ TEST(MonteCarlo, EmpiricalPfhBelowAnalyticalBound) {
 }
 
 TEST(MonteCarlo, DeterministicGivenSeed) {
-  std::vector<SimTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       task("h", 100'000, 1'000, CritLevel::HI, 2, 1, 0.2)};
   SimConfig cfg;
   cfg.policy = PolicyKind::kEdfVd;
@@ -152,7 +153,7 @@ TEST(MonteCarlo, AdjacentBaseSeedsUseIndependentMissionStreams) {
 }
 
 TEST(MonteCarlo, ParallelShardingMatchesSerial) {
-  std::vector<SimTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       task("h", 100'000, 1'000, CritLevel::HI, 2, 1, 0.2),
       task("l", 130'000, 1'500, CritLevel::LO, 2, 2, 0.1)};
   SimConfig cfg;
@@ -172,7 +173,7 @@ TEST(MonteCarlo, ParallelShardingMatchesSerial) {
 }
 
 TEST(MonteCarlo, RejectsBadOptions) {
-  std::vector<SimTask> tasks = {
+  std::vector<rt::HostTask> tasks = {
       task("h", 100'000, 1'000, CritLevel::HI, 2, 1, 0.2)};
   SimConfig cfg;
   MonteCarloOptions opt;

@@ -7,10 +7,10 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask task(const std::string& name, Tick period, Tick wcet,
-             CritLevel crit = CritLevel::LO, int max_attempts = 1,
-             int adapt_threshold = 1, double f = 0.0) {
-  SimTask t;
+rt::HostTask task(const std::string& name, Tick period, Tick wcet,
+                  CritLevel crit = CritLevel::LO, int max_attempts = 1,
+                  int adapt_threshold = 1, double f = 0.0) {
+  rt::HostTask t;
   t.name = name;
   t.period = period;
   t.deadline = period;
@@ -26,7 +26,7 @@ SimTask task(const std::string& name, Tick period, Tick wcet,
 SimConfig config(Tick horizon) {
   SimConfig c;
   c.policy = PolicyKind::kEdfVd;
-  c.adaptation = mcs::AdaptationKind::kKilling;
+  c.adaptation = AdaptationKind::kKilling;
   c.horizon = horizon;
   return c;
 }
@@ -34,7 +34,7 @@ SimConfig config(Tick horizon) {
 TEST(PartitionedSim, IndependentCoresCarryOverload) {
   // Each task alone uses 80% of a core; together they overload one core
   // but run cleanly on two.
-  const std::vector<SimTask> tasks = {task("a", 1000, 800),
+  const std::vector<rt::HostTask> tasks = {task("a", 1000, 800),
                                       task("b", 1000, 800)};
   const auto one_core =
       simulate_partitioned(tasks, {0, 0}, 1, config(1'000'000));
@@ -56,7 +56,7 @@ TEST(PartitionedSim, IndependentCoresCarryOverload) {
 TEST(PartitionedSim, ModeSwitchScopedToOneCore) {
   // Core 0: a HI task that triggers immediately + a LO victim.
   // Core 1: a LO task only. The kill must not reach core 1.
-  const std::vector<SimTask> tasks = {
+  const std::vector<rt::HostTask> tasks = {
       task("hi", 1000, 10, CritLevel::HI, 2, 0, 0.0),
       task("victim", 500, 10),
       task("survivor", 500, 10),
@@ -71,7 +71,7 @@ TEST(PartitionedSim, ModeSwitchScopedToOneCore) {
 }
 
 TEST(PartitionedSim, AggregatesPfhAcrossCores) {
-  const std::vector<SimTask> tasks = {
+  const std::vector<rt::HostTask> tasks = {
       task("l0", 1'000'000, 100, CritLevel::LO, 1, 1, 0.5),
       task("l1", 1'000'000, 100, CritLevel::LO, 1, 1, 0.5),
   };
@@ -83,7 +83,7 @@ TEST(PartitionedSim, AggregatesPfhAcrossCores) {
 }
 
 TEST(PartitionedSim, UnassignedTasksSkipped) {
-  const std::vector<SimTask> tasks = {task("a", 1000, 100),
+  const std::vector<rt::HostTask> tasks = {task("a", 1000, 100),
                                       task("ghost", 1000, 100)};
   const auto stats =
       simulate_partitioned(tasks, {0, -1}, 1, config(10'000));
@@ -92,7 +92,7 @@ TEST(PartitionedSim, UnassignedTasksSkipped) {
 }
 
 TEST(PartitionedSim, EmptyCoreProducesIdleStats) {
-  const std::vector<SimTask> tasks = {task("a", 1000, 100)};
+  const std::vector<rt::HostTask> tasks = {task("a", 1000, 100)};
   const auto stats = simulate_partitioned(tasks, {0}, 3, config(10'000));
   ASSERT_EQ(stats.per_core.size(), 3u);
   EXPECT_EQ(stats.per_core[1].busy_time, 0);
@@ -100,7 +100,7 @@ TEST(PartitionedSim, EmptyCoreProducesIdleStats) {
 }
 
 TEST(PartitionedSim, RejectsBadInput) {
-  const std::vector<SimTask> tasks = {task("a", 1000, 100)};
+  const std::vector<rt::HostTask> tasks = {task("a", 1000, 100)};
   EXPECT_THROW((void)simulate_partitioned(tasks, {0}, 0, config(10'000)),
                ContractViolation);
   EXPECT_THROW((void)simulate_partitioned(tasks, {}, 1, config(10'000)),

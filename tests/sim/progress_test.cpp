@@ -15,14 +15,14 @@
 namespace ftmc {
 namespace {
 
-std::vector<sim::SimTask> small_system() {
+std::vector<rt::HostTask> small_system() {
   return sim::build_sim_tasks(fms::canonical_fms_instance(), 3, 2, 2, 0.5);
 }
 
 sim::SimConfig base_config() {
   sim::SimConfig cfg;
-  cfg.policy = sim::PolicyKind::kEdfVd;
-  cfg.adaptation = mcs::AdaptationKind::kKilling;
+  cfg.policy = PolicyKind::kEdfVd;
+  cfg.adaptation = AdaptationKind::kKilling;
   return cfg;
 }
 

@@ -9,9 +9,9 @@
 namespace ftmc::sim {
 namespace {
 
-SimTask task(const std::string& name, Tick period, Tick wcet,
-             double f = 0.0) {
-  SimTask t;
+rt::HostTask task(const std::string& name, Tick period, Tick wcet,
+                  double f = 0.0) {
+  rt::HostTask t;
   t.name = name;
   t.period = period;
   t.deadline = period;
@@ -62,7 +62,7 @@ TEST(ResponseTimes, MaxResponseBoundsAvg) {
 }
 
 TEST(ResponseTimes, ZeroWhenNothingCompletes) {
-  TaskStats fresh;
+  rt::TaskCounters fresh;
   EXPECT_DOUBLE_EQ(fresh.avg_response(), 0.0);
 }
 
@@ -79,7 +79,7 @@ TEST(RandomPhasing, FirstReleasesSpreadOut) {
   // of all three drawing 0 is (1/5000)^3 — effectively never.
   std::vector<Tick> first(3, -1);
   for (const auto& ev : sim.trace()) {
-    if (ev.kind == TraceKind::kRelease && first[ev.task] < 0) {
+    if (ev.kind == rt::EventKind::kRelease && first[ev.task] < 0) {
       first[ev.task] = ev.time;
     }
   }
@@ -96,7 +96,7 @@ TEST(RandomPhasing, DisabledMeansSynchronous) {
   Simulator sim({task("a", 5000, 10), task("b", 3000, 10)}, c);
   sim.run();
   for (const auto& ev : sim.trace()) {
-    if (ev.kind == TraceKind::kRelease && ev.job == 0) {
+    if (ev.kind == rt::EventKind::kRelease && ev.job == 0) {
       EXPECT_EQ(ev.time, 0);
     }
   }
@@ -131,7 +131,7 @@ TEST(TraceCsv, WellFormedOutput) {
 
 TEST(TraceCsv, MissingNamesLeftEmpty) {
   std::ostringstream os;
-  write_trace_csv(os, {{5, TraceKind::kStart, 2, 7, 1}}, {});
+  write_trace_csv(os, {{5, rt::EventKind::kStart, 2, 7, 1}}, {});
   EXPECT_NE(os.str().find("5,start,2,,7,1"), std::string::npos);
 }
 

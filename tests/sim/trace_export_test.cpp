@@ -30,10 +30,10 @@ TEST(CsvEscape, QuotesFieldsWithSeparatorsAndQuotes) {
 
 TEST(WriteTraceCsv, QuotesTaskNames) {
   // Regression: a name with a comma used to split the CSV row.
-  const std::vector<TraceEvent> trace = {
-      {0, TraceKind::kRelease, 0, 1, 0},
-      {5, TraceKind::kStart, 0, 1, 1},
-      {10, TraceKind::kComplete, 0, 1, 0},
+  const std::vector<rt::Event> trace = {
+      {0, rt::EventKind::kRelease, 0, 1, 0},
+      {5, rt::EventKind::kStart, 0, 1, 1},
+      {10, rt::EventKind::kComplete, 0, 1, 0},
   };
   std::ostringstream os;
   write_trace_csv(os, trace, {"nav, primary"});
@@ -56,8 +56,8 @@ TEST(WriteTraceCsv, QuotesTaskNames) {
 }
 
 TEST(WriteTraceCsv, OmittedNamesStillProduceRows) {
-  const std::vector<TraceEvent> trace = {
-      {0, TraceKind::kRelease, 0, 1, 0}};
+  const std::vector<rt::Event> trace = {
+      {0, rt::EventKind::kRelease, 0, 1, 0}};
   std::ostringstream os;
   write_trace_csv(os, trace, {});
   EXPECT_NE(os.str().find("release"), std::string::npos);
@@ -87,14 +87,14 @@ void check_balance(const std::vector<std::string>& events,
 }
 
 TEST(ChromeTraceExport, SyntheticTraceBalancesAndClosesOpenSpans) {
-  const std::vector<TraceEvent> trace = {
-      {0, TraceKind::kRelease, 0, 1, 0},
-      {0, TraceKind::kStart, 0, 1, 1},
-      {3, TraceKind::kPreempt, 0, 1, 0},
-      {3, TraceKind::kStart, 1, 1, 1},
-      {7, TraceKind::kComplete, 1, 1, 0},
-      {8, TraceKind::kModeSwitch, 0, 0, 0},
-      {9, TraceKind::kStart, 0, 1, 2},
+  const std::vector<rt::Event> trace = {
+      {0, rt::EventKind::kRelease, 0, 1, 0},
+      {0, rt::EventKind::kStart, 0, 1, 1},
+      {3, rt::EventKind::kPreempt, 0, 1, 0},
+      {3, rt::EventKind::kStart, 1, 1, 1},
+      {7, rt::EventKind::kComplete, 1, 1, 0},
+      {8, rt::EventKind::kModeSwitch, 0, 0, 0},
+      {9, rt::EventKind::kStart, 0, 1, 2},
       // No closing event for task 0: the exporter must close it.
   };
   std::vector<std::string> events;
@@ -110,7 +110,7 @@ TEST(ChromeTraceExport, SyntheticTraceBalancesAndClosesOpenSpans) {
 
 TEST(ChromeTraceExport, RealSimulationProducesAValidDocument) {
   // One simulated second of a two-task system with faults enabled.
-  std::vector<SimTask> tasks(2);
+  std::vector<rt::HostTask> tasks(2);
   tasks[0].name = "hi";
   tasks[0].period = 10'000;
   tasks[0].deadline = 10'000;
